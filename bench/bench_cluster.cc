@@ -66,10 +66,11 @@ struct Mix
  * The 1M+ simulated-user fleet. With keySpace 2M and ~2.1M uniform
  * key draws, the expected distinct-user count is
  * 2M * (1 - e^(-2.1/2)) ~ 1.3M; the bench asserts >= 1M.
- * The GC preset is off: a 2M-key store would make every AOF-rewrite
- * snapshot of the tiny 128 KiB region quadratically expensive, and
- * the fleet-scale question here is scheduling, not GC (bench_sweep
- * covers GC-active cluster cells).
+ * The GC preset is off: the fleet-scale question here is scheduling,
+ * not GC (bench_sweep covers GC-active cluster cells). Its 128 KiB
+ * AOF region would only rewrite more often: a rewrite drops the undo
+ * log of the keys changed since the last one and never copies the
+ * 2M-key store.
  */
 ClusterConfig
 fullFleet()

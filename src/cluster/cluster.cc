@@ -1,7 +1,9 @@
 #include "cluster/cluster.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -36,11 +38,35 @@ valueFor(std::uint64_t key, std::uint32_t bytes)
     return v;
 }
 
+/** Index of the first byte of @p value off valueFor()'s pattern for
+ *  @p key, or value.size() when every byte matches. */
+std::size_t
+corruptByte(std::uint64_t key, std::span<const std::uint8_t> value)
+{
+    std::size_t i = 0;
+    while (i < value.size() && value[i] == static_cast<std::uint8_t>(key + i))
+        ++i;
+    return i;
+}
+
 /** Redis key text for a router key. */
 std::string
 redisKey(std::uint64_t key)
 {
     return "k" + std::to_string(key);
+}
+
+/** Router key of a Redis key text (redisKey()'s inverse). */
+std::uint64_t
+redisKeyId(const std::string &key)
+{
+    std::uint64_t id = 0;
+    const char *end = key.data() + key.size();
+    if (key.size() < 2 || key[0] != 'k' ||
+        std::from_chars(key.data() + 1, end, id).ptr != end) {
+        sim::panic("cluster: malformed Redis key '", key, "'");
+    }
+    return id;
 }
 
 /** FNV-1a fold helper shared by the digest paths. */
@@ -602,8 +628,7 @@ Cluster::runStep(std::size_t step)
             sh.redis->forEachSorted(
                 [&](const std::string &key,
                     std::span<const std::uint8_t> value) {
-                    const std::uint64_t id =
-                        std::stoull(key.substr(1));
+                    const std::uint64_t id = redisKeyId(key);
                     const std::uint64_t p = map_.point(id);
                     if (p < mr.begin || p >= mr.end)
                         return;
@@ -809,32 +834,46 @@ Cluster::verifyConsistency() const
 {
     for (unsigned s = 0; s < cfg_.shards; ++s) {
         const Shard &sh = *shards_[s];
-        auto check = [&](std::uint64_t id,
+        // One pass in hash order. It keeps the failing key that sorts
+        // first in the store's own key order, so the report names the
+        // key a sorted scan would have stopped at, whatever the hash
+        // map's layout.
+        auto sortsBefore = [&](std::uint64_t a, std::uint64_t b) {
+            return sh.redis ? redisKey(a) < redisKey(b) : a < b;
+        };
+        struct Fault
+        {
+            std::uint64_t id;
+            std::size_t byte; // first corrupt byte, or the value size
+        };
+        std::optional<Fault> bad;
+        auto visit = [&](std::uint64_t id,
                          std::span<const std::uint8_t> value) {
-            const unsigned owner = map_.shardOf(id);
-            if (owner != s) {
-                sim::panic("cluster consistency: key ", id,
-                           " stored on shard ", s, " but the map (",
-                           map_.describe(), ") owns it to shard ",
-                           owner);
-            }
-            for (std::size_t i = 0; i < value.size(); ++i) {
-                if (value[i] != static_cast<std::uint8_t>(id + i)) {
-                    sim::panic("cluster consistency: key ", id,
-                               " on shard ", s,
-                               " has corrupt payload byte ", i);
-                }
+            const std::size_t byte = corruptByte(id, value);
+            if ((map_.shardOf(id) != s || byte < value.size()) &&
+                (!bad || sortsBefore(id, bad->id))) {
+                bad = Fault{id, byte};
             }
         };
         if (sh.redis) {
-            sh.redis->forEachSorted(
+            sh.redis->forEachUnordered(
                 [&](const std::string &key,
                     std::span<const std::uint8_t> value) {
-                    check(std::stoull(key.substr(1)), value);
+                    visit(redisKeyId(key), value);
                 });
         } else {
-            sh.pg->forEachNodeSorted(check);
+            sh.pg->forEachNodeUnordered(visit);
         }
+        if (!bad)
+            continue;
+        const unsigned owner = map_.shardOf(bad->id);
+        if (owner != s) {
+            sim::panic("cluster consistency: key ", bad->id,
+                       " stored on shard ", s, " but the map (",
+                       map_.describe(), ") owns it to shard ", owner);
+        }
+        sim::panic("cluster consistency: key ", bad->id, " on shard ", s,
+                   " has corrupt payload byte ", bad->byte);
     }
 }
 

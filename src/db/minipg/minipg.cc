@@ -1,5 +1,7 @@
 #include "db/minipg/minipg.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "wal/record.hh"
 
@@ -374,12 +376,26 @@ MiniPg::forEachNodeSorted(
     const std::function<void(std::uint64_t,
                              std::span<const std::uint8_t>)> &fn) const
 {
-    std::map<std::uint64_t, const std::vector<std::uint8_t> *> sorted;
-    // bssd-lint: allow(det-unordered-iter) drained into a sorted map before visiting
-    for (const auto &kv : nodes_)
-        sorted.emplace(kv.first, &kv.second);
+    using Ref = std::pair<std::uint64_t, const std::vector<std::uint8_t> *>;
+    std::vector<Ref> sorted;
+    sorted.reserve(nodes_.size());
+    // bssd-lint: allow(det-unordered-iter) collected into a vector that is sorted before visiting
+    for (const auto &[id, payload] : nodes_)
+        sorted.emplace_back(id, &payload);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Ref &a, const Ref &b) { return a.first < b.first; });
     for (const auto &[id, payload] : sorted)
-        fn(id, {payload->data(), payload->size()});
+        fn(id, *payload);
+}
+
+void
+MiniPg::forEachNodeUnordered(
+    const std::function<void(std::uint64_t,
+                             std::span<const std::uint8_t>)> &fn) const
+{
+    // bssd-lint: allow(det-unordered-iter) callers are order-insensitive (see the header)
+    for (const auto &[id, payload] : nodes_)
+        fn(id, payload);
 }
 
 std::uint64_t

@@ -156,6 +156,17 @@ class MiniPg
         const;
 
     /**
+     * Visit every live node exactly once, in hash-map order. Only for
+     * scans whose result does not depend on the order (the cluster's
+     * consistency check); anything that can reach an output walks
+     * forEachNodeSorted() instead.
+     */
+    void forEachNodeUnordered(
+        const std::function<void(std::uint64_t,
+                                 std::span<const std::uint8_t>)> &fn)
+        const;
+
+    /**
      * Order-independent digest of the live dataset (FNV-1a over nodes
      * in id order, then links in key order) - the same contract as
      * MiniRedis::contentHash(), used by the cluster determinism tests
@@ -169,11 +180,12 @@ class MiniPg
     PgConfig cfg_;
     wal::GroupCommitter gc_;
 
-    // Audited (DESIGN.md section 11): the heap is read per node id and
+    // Audited (DESIGN.md section 11): the heap is read per node id,
     // the checkpoint/recovery path copies it wholesale (snapshotNodes_
-    // = nodes_) then replays WAL records in log order; only links_,
+    // = nodes_) then replays WAL records in log order, and its scans
+    // either sort first or feed order-insensitive checks; only links_,
     // which range scans, needs ordering - and it is a std::map.
-    // bssd-lint: allow(det-unordered-member) keyed access only, never iterated
+    // bssd-lint: allow(det-unordered-member) keyed access; iteration sorts first or is order-insensitive
     std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> nodes_;
     std::map<LinkKey, std::vector<std::uint8_t>> links_;
     std::uint64_t seq_ = 0;

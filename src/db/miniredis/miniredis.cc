@@ -1,8 +1,7 @@
 #include "db/miniredis/miniredis.hh"
 
+#include <algorithm>
 #include <charconv>
-#include <map>
-#include <string_view>
 
 #include "sim/logging.hh"
 #include "wal/record.hh"
@@ -79,13 +78,41 @@ MiniRedis::maybeRewriteAof(sim::Tick now)
     if (!aof_.needsCheckpoint())
         return now;
     rewrites_.add();
-    // BGREWRITEAOF: snapshot the dataset and restart the AOF. The
+    // BGREWRITEAOF: the dataset as of now becomes the image recovery
+    // restarts from, and the AOF restarts. The image is the live store
+    // itself: the undo log starts over, and a new generation makes
+    // every key log its pre-image again on its next change. The
     // child-process serialisation runs off the command loop; we charge
     // a fork+bookkeeping cost to the loop itself.
-    snapshot_ = store_;
+    undo_.clear();
+    ++generation_;
     snapshotSeq_ = seq_;
     aof_.truncate(now);
     return now + sim::usOf(500);
+}
+
+void
+MiniRedis::put(const std::string &key, std::span<const std::uint8_t> value)
+{
+    auto [it, inserted] = store_.try_emplace(key);
+    Entry &e = it->second;
+    if (inserted)
+        undo_.push_back({key, std::nullopt});
+    else if (e.logged != generation_)
+        undo_.push_back({key, std::move(e.value)});
+    e.logged = generation_;
+    e.value.assign(value.begin(), value.end());
+}
+
+void
+MiniRedis::erase(const std::string &key)
+{
+    auto it = store_.find(key);
+    if (it == store_.end())
+        return;
+    if (it->second.logged != generation_)
+        undo_.push_back({key, std::move(it->second.value)});
+    store_.erase(it);
 }
 
 sim::Tick
@@ -94,9 +121,8 @@ MiniRedis::set(sim::Tick now, const std::string &key,
 {
     commands_.add();
     now = cpu(now, key.size() + value.size());
-    auto payload = encodeCmd(cmdSet, key, value);
-    apply(payload);
-    return logCommand(now, payload);
+    put(key, value);
+    return logCommand(now, encodeCmd(cmdSet, key, value));
 }
 
 sim::Tick
@@ -104,9 +130,8 @@ MiniRedis::del(sim::Tick now, const std::string &key)
 {
     commands_.add();
     now = cpu(now, key.size());
-    auto payload = encodeCmd(cmdDel, key, {});
-    apply(payload);
-    return logCommand(now, payload);
+    erase(key);
+    return logCommand(now, encodeCmd(cmdDel, key, {}));
 }
 
 sim::Tick
@@ -116,7 +141,7 @@ MiniRedis::incr(sim::Tick now, const std::string &key,
     commands_.add();
     std::int64_t v = 0;
     if (auto it = store_.find(key); it != store_.end()) {
-        const auto &raw = it->second;
+        const auto &raw = it->second.value;
         std::from_chars(reinterpret_cast<const char *>(raw.data()),
                         reinterpret_cast<const char *>(raw.data()) +
                             raw.size(),
@@ -131,9 +156,8 @@ MiniRedis::incr(sim::Tick now, const std::string &key,
     if (result)
         *result = v;
     now = cpu(now, key.size() + text.size());
-    auto payload = encodeCmd(cmdSet, key, text);
-    apply(payload);
-    return logCommand(now, payload);
+    put(key, text);
+    return logCommand(now, encodeCmd(cmdSet, key, text));
 }
 
 sim::Tick
@@ -143,11 +167,11 @@ MiniRedis::get(sim::Tick now, const std::string &key,
     std::size_t bytes = key.size();
     auto it = store_.find(key);
     if (it != store_.end())
-        bytes += it->second.size();
+        bytes += it->second.value.size();
     if (out) {
         *out = it == store_.end()
             ? std::optional<std::vector<std::uint8_t>>()
-            : std::optional<std::vector<std::uint8_t>>(it->second);
+            : std::optional<std::vector<std::uint8_t>>(it->second.value);
     }
     return cpu(now, bytes);
 }
@@ -165,13 +189,10 @@ MiniRedis::apply(std::span<const std::uint8_t> payload)
     std::uint32_t vlen = get32(payload, pos);
     switch (cmd) {
       case cmdSet:
-        store_[key].assign(payload.begin() +
-                               static_cast<std::ptrdiff_t>(pos),
-                           payload.begin() +
-                               static_cast<std::ptrdiff_t>(pos + vlen));
+        put(key, payload.subspan(pos, vlen));
         break;
       case cmdDel:
-        store_.erase(key);
+        erase(key);
         break;
       default:
         sim::panic("miniredis: unknown AOF command ",
@@ -182,7 +203,18 @@ MiniRedis::apply(std::span<const std::uint8_t> payload)
 void
 MiniRedis::recover()
 {
-    store_ = snapshot_;
+    // Roll back to the last rewrite's image: undo every change since
+    // it, newest first, so a key changed twice ends at its oldest
+    // pre-image. The replay below logs its own changes afresh under a
+    // new generation, so a second recovery rolls those back too.
+    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+        if (it->value)
+            store_[it->key].value = std::move(*it->value);
+        else
+            store_.erase(it->key);
+    }
+    undo_.clear();
+    ++generation_;
     seq_ = snapshotSeq_;
     auto recs = wal::parseLogStream(aof_.recoverContents(),
                                     aof_.recoveryChunkBytes(),
@@ -196,14 +228,6 @@ MiniRedis::recover()
 std::uint64_t
 MiniRedis::contentHash() const
 {
-    // Hash in sorted key order so the hash map's bucket layout never
-    // reaches the digest (the DESIGN.md section 11 audit contract).
-    std::map<std::string_view, const std::vector<std::uint8_t> *>
-        sorted;
-    // bssd-lint: allow(det-unordered-iter) drained into a sorted map before hashing
-    for (const auto &kv : store_)
-        sorted.emplace(kv.first, &kv.second);
-
     std::uint64_t h = 14695981039346656037ull; // FNV-1a offset basis
     auto mix = [&h](const std::uint8_t *p, std::size_t n) {
         for (std::size_t i = 0; i < n; ++i) {
@@ -211,11 +235,12 @@ MiniRedis::contentHash() const
             h *= 1099511628211ull; // FNV-1a prime
         }
     };
-    for (const auto &[key, value] : sorted) {
+    forEachSorted([&](const std::string &key,
+                      std::span<const std::uint8_t> value) {
         mix(reinterpret_cast<const std::uint8_t *>(key.data()),
             key.size());
-        mix(value->data(), value->size());
-    }
+        mix(value.data(), value.size());
+    });
     return h;
 }
 
@@ -224,13 +249,45 @@ MiniRedis::forEachSorted(
     const std::function<void(const std::string &,
                              std::span<const std::uint8_t>)> &fn) const
 {
-    std::map<std::string_view, const std::vector<std::uint8_t> *>
-        sorted;
-    // bssd-lint: allow(det-unordered-iter) drained into a sorted map before visiting
-    for (const auto &kv : store_)
-        sorted.emplace(kv.first, &kv.second);
-    for (const auto &[key, value] : sorted)
-        fn(std::string(key), {value->data(), value->size()});
+    // Sort references to the entries, not the entries: the key's first
+    // eight bytes, big-endian and zero-padded, order two keys exactly
+    // as a byte-wise compare does unless they tie, and only ties fall
+    // back to comparing the full keys (std::string_view order, the
+    // same as a std::map keyed by the text).
+    struct Ref
+    {
+        std::uint64_t prefix;
+        const std::pair<const std::string, Entry> *kv;
+    };
+    std::vector<Ref> sorted;
+    sorted.reserve(store_.size());
+    // bssd-lint: allow(det-unordered-iter) collected into a vector that is sorted before visiting
+    for (const auto &kv : store_) {
+        std::uint64_t prefix = 0;
+        for (std::size_t i = 0; i < 8; ++i) {
+            prefix <<= 8;
+            if (i < kv.first.size())
+                prefix |= static_cast<std::uint8_t>(kv.first[i]);
+        }
+        sorted.push_back({prefix, &kv});
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Ref &a, const Ref &b) {
+                  return a.prefix != b.prefix ? a.prefix < b.prefix
+                                              : a.kv->first < b.kv->first;
+              });
+    for (const Ref &r : sorted)
+        fn(r.kv->first, r.kv->second.value);
+}
+
+void
+MiniRedis::forEachUnordered(
+    const std::function<void(const std::string &,
+                             std::span<const std::uint8_t>)> &fn) const
+{
+    // bssd-lint: allow(det-unordered-iter) callers are order-insensitive (see the header)
+    for (const auto &[key, entry] : store_)
+        fn(key, entry.value);
 }
 
 } // namespace bssd::db::miniredis

@@ -12,7 +12,10 @@
  * that is a BaWal configuration here.
  *
  * An AOF rewrite (BGREWRITEAOF) compacts the log into a snapshot of
- * the live dataset when the region fills.
+ * the live dataset when the region fills. The snapshot is never
+ * copied: the store keeps an undo log of the pre-images of the keys
+ * changed since the rewrite, and recovery rolls those back to reach
+ * the snapshot before it replays the AOF suffix.
  */
 
 #ifndef BSSD_DB_MINIREDIS_MINIREDIS_HH
@@ -21,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,22 +98,53 @@ class MiniRedis
         const std::function<void(const std::string &,
                                  std::span<const std::uint8_t>)> &fn)
         const;
+
+    /**
+     * Visit every live (key, value) pair exactly once, in hash-map
+     * order. Only for scans whose result does not depend on the order
+     * (the cluster's consistency check); anything that can reach an
+     * output walks forEachSorted() instead.
+     */
+    void forEachUnordered(
+        const std::function<void(const std::string &,
+                                 std::span<const std::uint8_t>)> &fn)
+        const;
     /** @} */
 
   private:
+    /** A live value, stamped with the last rewrite generation whose
+     *  undo log already holds the key's pre-image. */
+    struct Entry
+    {
+        std::vector<std::uint8_t> value;
+        std::uint64_t logged = 0;
+    };
+
+    /** A key as the current rewrite generation found it: its bytes,
+     *  or nullopt when it was absent. */
+    struct PreImage
+    {
+        std::string key;
+        std::optional<std::vector<std::uint8_t>> value;
+    };
+
     wal::LogDevice &aof_;
     RedisConfig cfg_;
     // Audited (DESIGN.md section 11): GET/SET/DEL address the store by
-    // key, AOF rewrite copies it wholesale (snapshot_ = store_), and
-    // contentHash() drains it into a sorted map before hashing;
-    // recovery replays AOF records in append order, so hash order
-    // never reaches any output.
-    // bssd-lint: allow(det-unordered-member) keyed access; iteration sorts first
-    std::unordered_map<std::string, std::vector<std::uint8_t>> store_;
+    // key, the AOF rewrite and recovery go through the undo log in
+    // change order, contentHash() and forEachSorted() sort before
+    // visiting, and forEachUnordered() feeds only order-insensitive
+    // checks, so hash order never reaches any output.
+    // bssd-lint: allow(det-unordered-member) keyed access; iteration sorts first or is order-insensitive
+    std::unordered_map<std::string, Entry> store_;
     std::uint64_t seq_ = 0;
-    /** Dataset snapshot backing the last AOF rewrite. */
-    // bssd-lint: allow(det-unordered-member) wholesale copy of store_, never iterated
-    std::unordered_map<std::string, std::vector<std::uint8_t>> snapshot_;
+    /** Pre-images of the keys changed since the last AOF rewrite, in
+     *  change order: undone in reverse, they restore the dataset the
+     *  rewrite captured. */
+    std::vector<PreImage> undo_;
+    /** Current rewrite generation (entries start unstamped at 0). */
+    std::uint64_t generation_ = 1;
+    /** First sequence number after the last AOF rewrite. */
     std::uint64_t snapshotSeq_ = 0;
 
     sim::Counter rewrites_{"miniredis.aofRewrites"};
@@ -119,7 +154,12 @@ class MiniRedis
     sim::Tick logCommand(sim::Tick now,
                          std::span<const std::uint8_t> payload);
     sim::Tick maybeRewriteAof(sim::Tick now);
+    /** Replay one AOF command (recovery only). */
     void apply(std::span<const std::uint8_t> payload);
+    /** @name Dataset changes, each undo-logged @{ */
+    void put(const std::string &key, std::span<const std::uint8_t> value);
+    void erase(const std::string &key);
+    /** @} */
 };
 
 } // namespace bssd::db::miniredis

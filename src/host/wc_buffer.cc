@@ -1,17 +1,42 @@
 #include "host/wc_buffer.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
 namespace bssd::host
 {
 
+static_assert(WcConfig::lineBytes == 64,
+              "a WC line's valid bytes are one 64-bit mask");
+
+namespace
+{
+
+/** Valid-mask bits of bytes [first, first + n) of a line, 0 < n <= 64. */
+std::uint64_t
+byteBits(std::uint64_t first, std::uint64_t n)
+{
+    return (n == 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << n) - 1)
+           << first;
+}
+
+/** @p mask without its lowest run of set bits (adding the lowest set
+ *  bit carries through the run and clears it). */
+std::uint64_t
+dropLowestRun(std::uint64_t mask)
+{
+    return mask & (mask + (mask & (~mask + 1)));
+}
+
+} // namespace
+
 WcBuffer::WcBuffer(const WcConfig &cfg, Sink sink)
     : cfg_(cfg), sink_(std::move(sink))
 {
-    if (cfg_.lineBytes == 0 || cfg_.lines == 0)
-        sim::fatal("WC buffer needs at least one line of non-zero size");
+    if (cfg_.lines == 0)
+        sim::fatal("WC buffer needs at least one line");
     if (!sink_)
         sim::fatal("WC buffer requires a posted-write sink");
 }
@@ -19,8 +44,7 @@ WcBuffer::WcBuffer(const WcConfig &cfg, Sink sink)
 bool
 WcBuffer::lineFull(const Line &line) const
 {
-    return std::all_of(line.validMask.begin(), line.validMask.end(),
-                       [](bool b) { return b; });
+    return line.valid == ~std::uint64_t(0);
 }
 
 WcBuffer::Line *
@@ -39,19 +63,13 @@ WcBuffer::evict(sim::Tick now, Line &line)
         return now;
     sim::tracepointHit(faults_, tracer_, sim::Tp::wcEvict, now);
     // Post each contiguous run of valid bytes within the line.
-    std::size_t i = 0;
-    while (i < line.validMask.size()) {
-        if (!line.validMask[i]) {
-            ++i;
-            continue;
-        }
-        std::size_t j = i;
-        while (j < line.validMask.size() && line.validMask[j])
-            ++j;
+    for (std::uint64_t mask = line.valid; mask != 0;
+         mask = dropLowestRun(mask)) {
+        const int i = std::countr_zero(mask);
+        const int n = std::countr_one(mask >> i);
         now = sink_(now, line.base + i,
                     std::span<const std::uint8_t>(line.data.data() + i,
-                                                  j - i));
-        i = j;
+                                                  n));
     }
     line.dirty = false;
     return now;
@@ -68,8 +86,7 @@ WcBuffer::acquireLine(sim::Tick &now, std::uint64_t base)
     for (auto &l : lines_) {
         if (!l.dirty) {
             l.base = base;
-            l.data.assign(cfg_.lineBytes, 0);
-            l.validMask.assign(cfg_.lineBytes, false);
+            l.valid = 0;
             l.dirty = true;
             l.lruStamp = ++lruCounter_;
             return l;
@@ -78,11 +95,9 @@ WcBuffer::acquireLine(sim::Tick &now, std::uint64_t base)
     if (lines_.size() < cfg_.lines) {
         Line l;
         l.base = base;
-        l.data.assign(cfg_.lineBytes, 0);
-        l.validMask.assign(cfg_.lineBytes, false);
         l.dirty = true;
         l.lruStamp = ++lruCounter_;
-        lines_.push_back(std::move(l));
+        lines_.push_back(l);
         return lines_.back();
     }
     // Capacity pressure: evict the least recently used line.
@@ -93,8 +108,7 @@ WcBuffer::acquireLine(sim::Tick &now, std::uint64_t base)
     now = evict(now, *victim);
     evictions_.add();
     victim->base = base;
-    victim->data.assign(cfg_.lineBytes, 0);
-    victim->validMask.assign(cfg_.lineBytes, false);
+    victim->valid = 0;
     victim->dirty = true;
     victim->lruStamp = ++lruCounter_;
     return *victim;
@@ -116,9 +130,7 @@ WcBuffer::write(sim::Tick now, std::uint64_t offset,
         Line &line = acquireLine(now, base);
         std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(pos), n,
                     line.data.begin() + static_cast<std::ptrdiff_t>(in_line));
-        std::fill_n(line.validMask.begin() +
-                        static_cast<std::ptrdiff_t>(in_line),
-                    n, true);
+        line.valid |= byteBits(in_line, n);
         ++lines_touched;
         // A completely filled line combines into one burst and is
         // posted immediately (x86 WC behaviour for streaming stores).
@@ -184,31 +196,20 @@ WcBuffer::dropAll()
     for (auto &l : lines_) {
         if (!l.dirty)
             continue;
-        std::uint64_t valid = 0;
-        for (bool v : l.validMask)
-            valid += v ? 1 : 0;
-        std::uint64_t keep = torn ? faults_->wcPartialKeep(valid) : 0;
-        if (keep > 0) {
-            // Deliver the first `keep` valid bytes (address order), as
-            // contiguous runs: those stores had already been posted.
-            std::size_t i = 0;
-            std::uint64_t delivered = 0;
-            while (i < l.validMask.size() && delivered < keep) {
-                if (!l.validMask[i]) {
-                    ++i;
-                    continue;
-                }
-                std::size_t j = i;
-                while (j < l.validMask.size() && l.validMask[j] &&
-                       delivered + (j - i) < keep) {
-                    ++j;
-                }
-                crashSink_(l.base + i,
-                           std::span<const std::uint8_t>(
-                               l.data.data() + i, j - i));
-                delivered += j - i;
-                i = j;
-            }
+        const std::uint64_t valid = std::popcount(l.valid);
+        const std::uint64_t keep =
+            torn ? faults_->wcPartialKeep(valid) : 0;
+        // Deliver the first `keep` valid bytes (address order), as
+        // contiguous runs: those stores had already been posted.
+        std::uint64_t delivered = 0;
+        for (std::uint64_t mask = l.valid; mask != 0 && delivered < keep;
+             mask = dropLowestRun(mask)) {
+            const int i = std::countr_zero(mask);
+            const std::uint64_t n = std::min<std::uint64_t>(
+                std::countr_one(mask >> i), keep - delivered);
+            crashSink_(l.base + i, std::span<const std::uint8_t>(
+                                       l.data.data() + i, n));
+            delivered += n;
         }
         lost += valid - keep;
         l.dirty = false;
@@ -230,10 +231,8 @@ WcBuffer::dirtyBytes() const
 {
     std::uint64_t n = 0;
     for (const auto &l : lines_) {
-        if (!l.dirty)
-            continue;
-        for (bool v : l.validMask)
-            n += v ? 1 : 0;
+        if (l.dirty)
+            n += std::popcount(l.valid);
     }
     return n;
 }

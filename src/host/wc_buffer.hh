@@ -19,6 +19,7 @@
 #ifndef BSSD_HOST_WC_BUFFER_HH
 #define BSSD_HOST_WC_BUFFER_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -36,8 +37,9 @@ namespace bssd::host
 /** WC buffer calibration. */
 struct WcConfig
 {
-    /** Bytes per WC line (64 on current x86). */
-    std::uint32_t lineBytes = 64;
+    /** Bytes per WC line: 64 on current x86, and fixed, since a
+     *  line's valid bytes are one 64-bit mask. */
+    static constexpr std::uint32_t lineBytes = 64;
     /** Number of fill buffers (about 10 on Xeon-class cores). */
     std::uint32_t lines = 10;
     /** CPU cost to fill one line with stores. */
@@ -149,8 +151,9 @@ class WcBuffer
     struct Line
     {
         std::uint64_t base = 0; // line-aligned window offset
-        std::vector<std::uint8_t> data;
-        std::vector<bool> validMask;
+        std::array<std::uint8_t, WcConfig::lineBytes> data{};
+        /** Bit i set: data[i] holds a store not yet posted. */
+        std::uint64_t valid = 0;
         bool dirty = false;
         std::uint64_t lruStamp = 0;
     };

@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for minipg: transactional semantics and crash recovery over
- * each log-device configuration.
+ * each log-device configuration, and the pinned digest definition.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "ba/two_b_ssd.hh"
@@ -36,6 +39,47 @@ smallRegion()
     wal::BlockWalConfig c;
     c.regionBytes = 2 * sim::MiB;
     return c;
+}
+
+std::vector<std::uint8_t>
+text(const std::string &s)
+{
+    return {s.begin(), s.end()};
+}
+
+/** Nodes of the pinned digest dataset: ids at the byte and word
+ *  boundaries, bytes >= 0x80 and an empty payload. */
+std::map<std::uint64_t, std::vector<std::uint8_t>>
+digestNodes()
+{
+    return {
+        {0, {}},
+        {1, text("one")},
+        {255, {0x80, 0xff, 0x00}},
+        {256, text("x")},
+        {std::uint64_t(1) << 32, text("big")},
+        {std::uint64_t(1) << 63, text("top bit")},
+        {~std::uint64_t(0), text("max")},
+    };
+}
+
+/** The pinned dataset, with updates and deletes that must not show. */
+void
+loadDigestDataset(MiniPg &pg)
+{
+    sim::Tick t = pg.addNode(0, 77, text("deleted"));
+    for (const auto &[id, value] : digestNodes())
+        t = pg.addNode(t, id, text("stale"));
+    for (const auto &[id, value] : digestNodes())
+        t = pg.updateNode(t, id, value);
+    t = pg.deleteNode(t, 77);
+    t = pg.addLink(t, {1, 0, 2}, text("l"));
+    t = pg.addLink(t, {1, 0, 1}, {});
+    t = pg.addLink(t, {0, 7, ~std::uint64_t(0)},
+                   std::vector<std::uint8_t>{0x90});
+    t = pg.addLink(t, {256, 1, 0}, text("z"));
+    t = pg.addLink(t, {9, 9, 9}, text("deleted"));
+    pg.deleteLink(t, {9, 9, 9});
 }
 
 } // namespace
@@ -249,4 +293,44 @@ TEST(MiniPgTxn, TransactionCommitCheaperThanIndividualCommits)
         u = pg2.addNode(u, i, payload(64, 1));
     // bssd-lint: allow(hyg-ticks-literal) dimensionless speedup factor
     EXPECT_LT(batched * 2, u - u0);
+}
+
+TEST(MiniPg, ContentHashDefinitionIsPinned)
+{
+    // Recorded with the std::map-based node sort the sorted-vector one
+    // replaced; a change here changes every recorded state digest.
+    ssd::SsdDevice dev(ssd::SsdConfig::tiny());
+    wal::BlockWal log(dev, smallRegion());
+    MiniPg pg(log);
+    loadDigestDataset(pg);
+    EXPECT_EQ(pg.contentHash(), 0xe9824d8d06eb71c0ull);
+}
+
+TEST(MiniPg, NodeVisitorsSeeEveryNodeOnce)
+{
+    ssd::SsdDevice dev(ssd::SsdConfig::tiny());
+    wal::BlockWal log(dev, smallRegion());
+    MiniPg pg(log);
+    loadDigestDataset(pg);
+    const auto want = digestNodes();
+
+    auto next = want.begin();
+    pg.forEachNodeSorted(
+        [&](std::uint64_t id, std::span<const std::uint8_t> value) {
+            ASSERT_NE(next, want.end());
+            EXPECT_EQ(id, next->first);
+            EXPECT_TRUE(std::ranges::equal(value, next->second));
+            ++next;
+        });
+    EXPECT_EQ(next, want.end());
+
+    std::map<std::uint64_t, std::vector<std::uint8_t>> seen;
+    pg.forEachNodeUnordered(
+        [&](std::uint64_t id, std::span<const std::uint8_t> value) {
+            EXPECT_TRUE(seen.emplace(id, std::vector<std::uint8_t>(
+                                             value.begin(), value.end()))
+                            .second)
+                << "visited twice: " << id;
+        });
+    EXPECT_EQ(seen, want);
 }

@@ -1,15 +1,23 @@
 /**
  * @file
- * Tests for miniredis: command semantics, AOF replay, AOF rewrite.
+ * Tests for miniredis: command semantics, AOF replay, AOF rewrite,
+ * undo-log recovery across rewrites, and the pinned digest definition.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
+#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ba/two_b_ssd.hh"
 #include "db/miniredis/miniredis.hh"
+#include "sim/rng.hh"
 #include "ssd/ssd_device.hh"
 #include "wal/ba_wal.hh"
 #include "wal/block_wal.hh"
@@ -32,6 +40,62 @@ tinyAof()
     wal::BlockWalConfig c;
     c.regionBytes = 512 * sim::KiB;
     return c;
+}
+
+using Dataset = std::map<std::string, std::vector<std::uint8_t>>;
+
+/** contentHash() of a fresh store loaded with @p data. */
+std::uint64_t
+hashOf(const Dataset &data)
+{
+    ssd::SsdDevice dev(ssd::SsdConfig::tiny());
+    wal::BlockWal aof(dev, tinyAof());
+    MiniRedis r(aof);
+    sim::Tick t = 0;
+    for (const auto &[key, value] : data)
+        t = r.set(t, key, value);
+    return r.contentHash();
+}
+
+/**
+ * A small fixed dataset with every key shape the sorted iterator must
+ * order correctly: keys sharing their first 8 bytes, keys shorter and
+ * longer than 8 bytes, keys that are prefixes of others (also inside
+ * the first 8 bytes, with and without a NUL after), bytes >= 0x80,
+ * an empty key and an empty value.
+ */
+Dataset
+digestDataset()
+{
+    using namespace std::string_literals;
+    return {
+        {"prefix00a", val("A")},
+        {"prefix00b", val("B")},
+        {"prefix00", {}},
+        {"a", val("1")},
+        {"a\0"s, val("nul")},
+        {"a\0b"s, val("nul-b")},
+        {"k7", val("seven")},
+        {"abc", val("x")},
+        {"abcdefghij", val("long")},
+        {"\x80hi", {0x80, 0xff, 0x00}},
+        {"z\xffz", val("hi")},
+        {"", val("empty key")},
+    };
+}
+
+/** The same store every way the tests build it: each key once, then
+ *  the overwrites and deletes that must not show in the digest. */
+void
+loadDigestDataset(MiniRedis &r)
+{
+    sim::Tick t = 0;
+    t = r.set(t, "gone", val("deleted"));
+    for (const auto &[key, value] : digestDataset())
+        t = r.set(t, key, val("stale " + key));
+    for (const auto &[key, value] : digestDataset())
+        t = r.set(t, key, value);
+    r.del(t, "gone");
 }
 
 } // namespace
@@ -137,4 +201,348 @@ TEST(MiniRedis, CommandCostIncludesDurability)
     // Reads skip the log entirely: command CPU only.
     EXPECT_LT(t2 - t1, sim::usOf(35));
     EXPECT_LT(2 * (t2 - t1), t1 - t0);
+}
+
+TEST(MiniRedis, ContentHashDefinitionIsPinned)
+{
+    // Recorded with the std::map-based digest the sorted-vector one
+    // replaced; a change here changes every recorded state digest.
+    ssd::SsdDevice dev(ssd::SsdConfig::tiny());
+    wal::BlockWal aof(dev, tinyAof());
+    MiniRedis r(aof);
+    loadDigestDataset(r);
+    EXPECT_EQ(r.contentHash(), 0xbe634ff825f0490aull);
+    EXPECT_EQ(hashOf(digestDataset()), r.contentHash());
+    EXPECT_EQ(hashOf({}), 14695981039346656037ull); // FNV-1a basis
+}
+
+TEST(MiniRedis, SortedVisitFollowsStringViewOrder)
+{
+    // The fixed dataset plus random keys over a tiny alphabet, so many
+    // keys tie on their first 8 bytes or are prefixes of each other.
+    Dataset want = digestDataset();
+    sim::Rng rng(3);
+    const char alphabet[] = {'\0', 'a', 'b', '\x7f', '\x80', '\xff'};
+    for (int i = 0; i < 3000; ++i) {
+        std::string key(rng.nextBelow(13), '\0');
+        for (char &c : key)
+            c = alphabet[rng.nextBelow(sizeof(alphabet))];
+        want[key] = val(std::to_string(i));
+    }
+    ssd::SsdDevice dev(ssd::SsdConfig::tiny());
+    wal::BlockWal aof(dev, tinyAof());
+    MiniRedis r(aof);
+    sim::Tick t = 0;
+    for (const auto &[key, value] : want)
+        t = r.set(t, key, value);
+    ASSERT_EQ(r.keys(), want.size());
+
+    std::map<std::string_view, const std::vector<std::uint8_t> *> order;
+    for (const auto &[key, value] : want)
+        order.emplace(key, &value);
+    auto next = order.begin();
+    r.forEachSorted([&](const std::string &key,
+                        std::span<const std::uint8_t> value) {
+        ASSERT_NE(next, order.end());
+        EXPECT_EQ(key, next->first);
+        EXPECT_TRUE(std::ranges::equal(value, *next->second));
+        ++next;
+    });
+    EXPECT_EQ(next, order.end());
+
+    Dataset seen;
+    r.forEachUnordered([&](const std::string &key,
+                           std::span<const std::uint8_t> value) {
+        EXPECT_TRUE(seen.emplace(key, std::vector<std::uint8_t>(
+                                          value.begin(), value.end()))
+                        .second)
+            << "visited twice: " << key;
+    });
+    EXPECT_EQ(seen, want);
+}
+
+namespace
+{
+
+/** The cluster shard's AOF preset (single-buffered BA-WAL) with a
+ *  region small enough that a few thousand commands rewrite it often. */
+struct SmallBaAof
+{
+    static ba::BaConfig
+    buffer()
+    {
+        ba::BaConfig bc;
+        bc.bufferBytes = 64 * sim::KiB;
+        return bc;
+    }
+
+    static wal::BaWalConfig
+    log()
+    {
+        wal::BaWalConfig wc;
+        wc.regionBytes = 32 * sim::KiB;
+        wc.halfBytes = 4 * sim::KiB;
+        wc.doubleBuffer = false;
+        return wc;
+    }
+
+    ba::TwoBSsd dev{ssd::SsdConfig::tiny(), buffer()};
+    wal::BaWal aof{dev, log()};
+};
+
+/** A power cut thrown from inside the AOF. */
+struct CutInsideAof
+{
+};
+
+/**
+ * The AOF with switches that cut power inside the next append() or
+ * truncate(), before the call reaches the log. A command cut at its
+ * append has already changed the store but is certainly not durable;
+ * a rewrite cut at its truncate follows a command that certainly is.
+ * A third switch hides the durable suffix from the next recovery, so
+ * the store shows the rewrite image its undo log restores.
+ */
+class CuttableAof final : public wal::LogDevice
+{
+  public:
+    explicit CuttableAof(wal::LogDevice &log) : log_(log) {}
+
+    bool cutAppend = false;
+    bool cutTruncate = false;
+    bool hideSuffix = false;
+
+    sim::Tick
+    append(sim::Tick now, std::span<const std::uint8_t> record) override
+    {
+        if (std::exchange(cutAppend, false))
+            throw CutInsideAof{};
+        return log_.append(now, record);
+    }
+
+    sim::Tick commit(sim::Tick now) override { return log_.commit(now); }
+
+    void
+    truncate(sim::Tick now) override
+    {
+        if (std::exchange(cutTruncate, false))
+            throw CutInsideAof{};
+        log_.truncate(now);
+    }
+
+    void crash(sim::Tick t) override { log_.crash(t); }
+
+    std::vector<std::uint8_t>
+    recoverContents() override
+    {
+        auto contents = log_.recoverContents();
+        if (std::exchange(hideSuffix, false))
+            contents.clear();
+        return contents;
+    }
+
+    std::string name() const override { return log_.name(); }
+
+    std::uint64_t
+    bytesAppended() const override
+    {
+        return log_.bytesAppended();
+    }
+
+    std::uint64_t
+    bytesToStore() const override
+    {
+        return log_.bytesToStore();
+    }
+
+    bool
+    needsCheckpoint() const override
+    {
+        return log_.needsCheckpoint();
+    }
+
+    std::uint64_t
+    recoveryChunkBytes() const override
+    {
+        return log_.recoveryChunkBytes();
+    }
+
+  private:
+    wal::LogDevice &log_;
+};
+
+} // namespace
+
+TEST(MiniRedis, UndoLogRecoveryMatchesAcknowledgedCommands)
+{
+    // Random SET/DEL/INCR over 32 keys with power cuts between
+    // commands, inside a command's append and inside a rewrite. After
+    // every recovery the store must equal the model of the durable
+    // commands, digest included, and a recovery that sees no AOF
+    // suffix must equal the model as of the last rewrite. Keys 24..31
+    // hold decimal counters so INCR has something to count.
+    SmallBaAof rig;
+    CuttableAof aof(rig.aof);
+    MiniRedis r(aof);
+    Dataset model, image;
+    sim::Rng rng(12);
+    sim::Tick t = sim::msOf(1);
+
+    auto expectStoreEquals = [&](const Dataset &want) {
+        ASSERT_EQ(r.keys(), want.size());
+        for (const auto &[key, value] : want) {
+            std::optional<std::vector<std::uint8_t>> got;
+            r.get(0, key, &got);
+            ASSERT_TRUE(got.has_value()) << key;
+            EXPECT_EQ(*got, value) << key;
+        }
+        EXPECT_EQ(r.contentHash(), hashOf(want));
+    };
+
+    // The cases an undo log can get wrong. Each counts when a power
+    // cut lands later in the same rewrite interval (or on the case's
+    // own command, cut at its append).
+    enum Case
+    {
+        delPreRewrite,
+        setThenDel,
+        delThenReinsert,
+        nCases
+    };
+    bool pending[nCases] = {};
+    int covered[nCases] = {};
+    int firstChangeCuts = 0, rewriteCuts = 0, crashesAfterRewrite = 0;
+    int crashesAfterRecoveryWrites = 0, doubleRecoveries = 0;
+    int imageRecoveries = 0;
+    // Rewrite interval of each key's last change, insert and delete.
+    std::map<std::string, std::uint64_t> changed, inserted, deleted;
+    std::uint64_t sinceRewrite = 0, sinceRecovery = 0;
+    bool recovered = false;
+
+    for (int i = 0; i < 6000; ++i) {
+        const std::uint64_t interval = r.aofRewrites();
+        const std::uint64_t k = rng.nextBelow(32);
+        const std::string key = "key" + std::to_string(k);
+        const bool present = model.contains(key);
+        const bool firstChange =
+            !changed.contains(key) || changed[key] < interval;
+        const double roll = rng.nextDouble();
+
+        // The command, and the key's value once it is durable.
+        std::optional<std::vector<std::uint8_t>> after;
+        std::int64_t counter = 0;
+        if (roll < 0.25 && present) {
+            if (firstChange)
+                pending[delPreRewrite] = true;
+            if (inserted.contains(key) && inserted[key] == interval)
+                pending[setThenDel] = true;
+        } else if (k >= 24 && roll < 0.6) {
+            if (present) {
+                const std::string text(model[key].begin(),
+                                       model[key].end());
+                std::from_chars(text.data(), text.data() + text.size(),
+                                counter);
+            }
+            after = val(std::to_string(++counter));
+        } else {
+            after = std::vector<std::uint8_t>(rng.nextBelow(97));
+            for (auto &b : *after)
+                b = static_cast<std::uint8_t>(rng.next());
+            if (k >= 24)
+                after = val(std::to_string(rng.nextBelow(1000)));
+        }
+        if (after && !present && deleted.contains(key) &&
+            deleted[key] == interval) {
+            pending[delThenReinsert] = true;
+        }
+
+        // Cut often in a rewrite interval's first commands, where most
+        // keys still wait for their first change.
+        const bool cutAppend = rng.chance(sinceRewrite < 32 ? 0.2 : 0.01);
+        aof.cutAppend = cutAppend;
+        aof.cutTruncate = rng.chance(0.25);
+        bool cut = false;
+        try {
+            if (!after) {
+                t = r.del(t, key);
+            } else if (k >= 24 && roll < 0.6) {
+                std::int64_t got = 0;
+                t = r.incr(t, key, &got);
+                EXPECT_EQ(got, counter);
+            } else {
+                t = r.set(t, key, *after);
+            }
+        } catch (const CutInsideAof &) {
+            cut = true;
+        }
+        aof.cutTruncate = false;
+        const bool rewrote = r.aofRewrites() != interval;
+
+        // A command cut at its append never reached the AOF; one cut
+        // at the rewrite after it had already been committed.
+        if (!cutAppend) {
+            if (after) {
+                if (!present)
+                    inserted[key] = interval;
+                model[key] = *after;
+            } else {
+                deleted[key] = interval;
+                model.erase(key);
+            }
+            changed[key] = interval;
+            ++sinceRecovery;
+        } else if (firstChange) {
+            ++firstChangeCuts;
+        }
+        ++sinceRewrite;
+        if (rewrote) {
+            image = model;
+            std::fill(std::begin(pending), std::end(pending), false);
+            sinceRewrite = 0;
+            rewriteCuts += cut ? 1 : 0;
+        }
+        if (!cut && !(rewrote && rng.chance(0.5)) && !rng.chance(0.01))
+            continue;
+
+        for (int c = 0; c < nCases; ++c)
+            covered[c] += pending[c] ? 1 : 0;
+        crashesAfterRewrite += rewrote ? 1 : 0;
+        crashesAfterRecoveryWrites += recovered && sinceRecovery > 0;
+        // A rewrite cut ran its command to the end: the device clock
+        // can be past the last acknowledgement.
+        t = std::max(t, rig.dev.domain().now());
+        aof.crash(t);
+        if (rng.chance(0.3)) {
+            aof.hideSuffix = true;
+            r.recover();
+            expectStoreEquals(image);
+            if (HasFatalFailure())
+                return;
+            ++imageRecoveries;
+        }
+        r.recover();
+        if (rng.chance(0.3)) {
+            r.recover();
+            ++doubleRecoveries;
+        }
+        expectStoreEquals(model);
+        if (HasFatalFailure())
+            return;
+        recovered = true;
+        sinceRecovery = 0;
+    }
+    expectStoreEquals(model);
+
+    EXPECT_GE(r.aofRewrites(), 3u);
+    EXPECT_GT(covered[delPreRewrite], 0);
+    EXPECT_GT(covered[setThenDel], 0);
+    EXPECT_GT(covered[delThenReinsert], 0);
+    EXPECT_GT(firstChangeCuts, 0);
+    EXPECT_GT(rewriteCuts, 0);
+    EXPECT_GT(crashesAfterRewrite, 0);
+    EXPECT_GT(crashesAfterRecoveryWrites, 0);
+    EXPECT_GT(doubleRecoveries, 0);
+    EXPECT_GT(imageRecoveries, 0);
+    RecordProperty("rewrites", static_cast<int>(r.aofRewrites()));
+    RecordProperty("first_change_cuts", firstChangeCuts);
 }

@@ -190,3 +190,34 @@ TEST(WcBuffer, RewriteWithinLineKeepsLatest)
     auto want = bytes({1, 2, 2});
     EXPECT_TRUE(sink.holds(0, want));
 }
+
+TEST(WcBuffer, EvictionPostsEachValidRunInAddressOrder)
+{
+    std::vector<std::pair<std::uint64_t, std::size_t>> posts;
+    WcBuffer wc(WcConfig{}, [&](sim::Tick ready, std::uint64_t off,
+                                std::span<const std::uint8_t> data) {
+        posts.emplace_back(off, data.size());
+        return ready;
+    });
+    // Runs at both edges of the line and one inside, stored out of
+    // address order; the last run ends on the line's final byte.
+    wc.write(0, 128 + 60, std::vector<std::uint8_t>(4, 1));
+    wc.write(0, 128 + 10, std::vector<std::uint8_t>(11, 2));
+    wc.write(0, 128, std::vector<std::uint8_t>(3, 3));
+    EXPECT_EQ(wc.dirtyBytes(), 18u);
+    wc.flushAll(0);
+    const std::vector<std::pair<std::uint64_t, std::size_t>> want = {
+        {128, 3}, {138, 11}, {188, 4}};
+    EXPECT_EQ(posts, want);
+    EXPECT_EQ(wc.dirtyBytes(), 0u);
+
+    // Two halves that complete a line post it as one 64-byte burst.
+    posts.clear();
+    wc.write(0, 256 + 32, std::vector<std::uint8_t>(32, 4));
+    EXPECT_TRUE(posts.empty());
+    wc.write(0, 256, std::vector<std::uint8_t>(32, 5));
+    const std::vector<std::pair<std::uint64_t, std::size_t>> full = {
+        {256, 64}};
+    EXPECT_EQ(posts, full);
+    EXPECT_EQ(wc.dirtyLines(), 0u);
+}
