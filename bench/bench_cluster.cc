@@ -43,15 +43,15 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "cluster/cluster.hh"
 #include "sim/ticks.hh"
 #include "sim/trace.hh"
 #include "support/stopwatch.hh"
-#include "workload/cluster.hh"
 
 using namespace bssd;
 using namespace bssd::bench;
-using workload::ClusterConfig;
-using workload::ClusterResult;
+using cluster::ClusterConfig;
+using cluster::ClusterResult;
 
 namespace
 {
@@ -140,7 +140,7 @@ runMix(const Mix &mix, unsigned threads, sim::Tracer *trace)
     MixRun run;
     run.name = mix.name;
     Stopwatch sw;
-    run.res = workload::runCluster(cfg, trace);
+    run.res = cluster::runCluster(cfg, trace);
     run.wallMs = sw.ms();
     return run;
 }
@@ -262,11 +262,11 @@ main(int argc, char **argv)
         // N bounded queue pairs instead of the unbounded default.
         for (Mix &mix : mixes) {
             if (!queuesFlag.empty()) {
-                mix.cfg.nvmeQueuePairs = static_cast<std::uint16_t>(
+                mix.cfg.queuePairs = static_cast<std::uint16_t>(
                     std::max(1ul, std::stoul(queuesFlag)));
             }
             if (!qdepthFlag.empty()) {
-                mix.cfg.nvmeQueueDepth = static_cast<std::uint16_t>(
+                mix.cfg.queueDepth = static_cast<std::uint16_t>(
                     std::stoul(qdepthFlag));
             }
         }

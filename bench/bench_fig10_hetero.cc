@@ -27,6 +27,8 @@
 #include "bench_util.hh"
 #include "db/minipg/minipg.hh"
 #include "sim/sweep.hh"
+#include "wal/async_wal.hh"
+#include "wal/ba_wal.hh"
 #include "wal/pm_wal.hh"
 #include "workload/runner.hh"
 

@@ -4,10 +4,10 @@
  *
  * Fig. 9, Fig. 10 and the sweep harness all compare the same four
  * log-device configurations (DC-SSD, ULL-SSD, 2B-SSD, ASYNC). Rig
- * construction itself lives in tests/support/rig.hh (shared with the
- * crash matrix and the fault-injection campaign, so repro lines are
- * replayable everywhere); this header maps the bench-facing RigKind
- * onto those specs and keeps the CLI helpers.
+ * construction itself is the rig factory in src/wal/rig.hh (shared
+ * with the cluster shards, the crash matrix and the fault-injection
+ * campaign); this header maps the bench-facing RigKind onto its specs
+ * and keeps the CLI helpers.
  */
 
 #ifndef BSSD_BENCH_BENCH_RIGS_HH
@@ -18,7 +18,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "../tests/support/rig.hh"
+#include "wal/rig.hh"
 
 namespace bssd::bench
 {
@@ -44,15 +44,12 @@ rigName(RigKind k)
     return "?";
 }
 
-/** A log device plus everything backing it, kept alive together. */
-using LogRig = rigs::Rig;
-
 /**
  * Build a log rig. @p baWalHalf selects the BA-WAL window size
  * (paper: half buffer for minipg, quarter for minirocks, whole for
  * miniredis), and @p doubleBuffer is off for miniredis.
  */
-inline LogRig
+inline rigs::Rig
 makeRig(RigKind k, std::uint64_t baWalHalf, bool doubleBuffer)
 {
     rigs::RigSpec spec;
@@ -74,9 +71,7 @@ makeRig(RigKind k, std::uint64_t baWalHalf, bool doubleBuffer)
         spec.wal = rigs::WalKind::async;
         break;
     }
-    LogRig rig = rigs::makeRig(spec);
-    rig.label = rigName(k);
-    return rig;
+    return rigs::makeRig(spec);
 }
 
 /** Parse an optional `--threads=N` argument (0 = auto). */

@@ -45,7 +45,7 @@
 #include "wal/ba_wal.hh"
 #include "ba/two_b_ssd.hh"
 #include "db/minipg/minipg.hh"
-#include "workload/cluster.hh"
+#include "cluster/cluster.hh"
 #include "workload/fio.hh"
 #include "workload/runner.hh"
 
@@ -209,12 +209,12 @@ struct Row
  * host-domain router. Heavy per-shard batches so the barrier cost
  * amortizes over real store/WAL/device work.
  */
-workload::ClusterConfig
+cluster::ClusterConfig
 clusterScenario(unsigned engineThreads)
 {
-    workload::ClusterConfig cfg;
+    cluster::ClusterConfig cfg;
     cfg.shards = 8;
-    cfg.wal = workload::ClusterConfig::Wal::ba;
+    cfg.wal = cluster::ClusterConfig::Wal::ba;
     cfg.gc = true;
     cfg.engineThreads = engineThreads;
     cfg.opsPerCycle = 512;
@@ -226,7 +226,7 @@ clusterScenario(unsigned engineThreads)
 
 struct ClusterRun
 {
-    workload::ClusterResult res;
+    cluster::ClusterResult res;
     std::string chromeJson;
     double wallMs = 0.0;
 };
@@ -237,8 +237,8 @@ runClusterAt(unsigned engineThreads)
     ClusterRun run;
     sim::Tracer tracer;
     Stopwatch sw;
-    run.res = workload::runCluster(clusterScenario(engineThreads),
-                                   &tracer);
+    run.res = cluster::runCluster(clusterScenario(engineThreads),
+                                  &tracer);
     run.wallMs = sw.ms();
     std::ostringstream os;
     tracer.writeChromeJson(os);
@@ -254,7 +254,7 @@ runClusterAt(unsigned engineThreads)
 void
 writeClusterArtifact(std::ostream &os, const ClusterRun &run)
 {
-    const workload::ClusterResult &r = run.res;
+    const cluster::ClusterResult &r = run.res;
     os << "{\n  \"scenario\": \"cluster-8shard-bawal-gc\",\n";
     os << "  \"state_digest\": \"" << std::hex << r.stateDigest
        << std::dec << "\",\n";

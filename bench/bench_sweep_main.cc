@@ -31,17 +31,18 @@
 #include "bench_rigs.hh"
 #include "bench_util.hh"
 #include "support/stopwatch.hh"
+#include "cluster/cluster.hh"
 #include "db/minipg/minipg.hh"
 #include "db/miniredis/miniredis.hh"
 #include "db/minirocks/minirocks.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
-#include "workload/cluster.hh"
 #include "workload/runner.hh"
 
 using namespace bssd;
 using namespace bssd::bench;
 using namespace bssd::workload;
+using cluster::ClusterConfig;
 
 namespace
 {
@@ -83,7 +84,7 @@ runCell(const Cell &cell, sim::Tick horizon,
                        : cell.app == App::ycsbaRocks ? 2 * sim::MiB
                                                      : 0;
     bool doubleBuf = cell.app != App::ycsbaRedis;
-    LogRig rig = makeRig(cell.rig, half, doubleBuf);
+    rigs::Rig rig = makeRig(cell.rig, half, doubleBuf);
 
     sim::MetricRegistry registry;
     if (outMetrics)
@@ -145,14 +146,14 @@ runCell(const Cell &cell, sim::Tick horizon,
  * the parallel engine inside a single sweep job.
  */
 sim::SweepRecord
-runClusterCell(workload::ClusterConfig cfg)
+runClusterCell(ClusterConfig cfg)
 {
     Stopwatch sw;
-    workload::ClusterResult res = workload::runCluster(cfg);
+    cluster::ClusterResult res = cluster::runCluster(cfg);
     double ms = sw.ms();
 
     sim::SweepRecord rec;
-    rec.device = cfg.wal == workload::ClusterConfig::Wal::ba
+    rec.device = cfg.wal == ClusterConfig::Wal::ba
                      ? "cluster-ba"
                      : "cluster-blk";
     rec.workload = "sharded-miniredis";

@@ -9,11 +9,12 @@
 #include <utility>
 #include <vector>
 
+#include "db/minipg/minipg.hh"
+#include "db/miniredis/miniredis.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "ssd/nvme_queue.hh"
-#include "wal/ba_wal.hh"
-#include "wal/block_wal.hh"
+#include "wal/rig.hh"
 
 namespace bssd::cluster
 {
@@ -107,19 +108,16 @@ walName(ClusterConfig::Wal w)
     return "?";
 }
 
-/** One shard: a store × WAL × device rig living in one domain. */
+/**
+ * One shard: a store over a rig, living in the rig's domain. A
+ * replicated rig's follower domain is never registered with the
+ * engine: the ReplicatedWal models the inter-device link entirely
+ * inside the primary's domain, and nothing schedules events on the
+ * follower's queue.
+ */
 struct Cluster::Shard
 {
-    std::unique_ptr<ba::TwoBSsd> twoB;
-    /** Follower 2B-SSD of a replicated shard. Its domain is never
-     *  registered with the engine: the ReplicatedWal models the
-     *  inter-device link entirely inside the primary's domain, and
-     *  nothing schedules events on the follower's queue. */
-    std::unique_ptr<ba::TwoBSsd> followerTwoB;
-    std::unique_ptr<ssd::SsdDevice> blockDev;
-    std::unique_ptr<wal::LogDevice> log;
-    /** Non-owning view of log when it is a ReplicatedWal. */
-    wal::ReplicatedWal *repl = nullptr;
+    rigs::Rig rig;
     std::unique_ptr<db::miniredis::MiniRedis> redis;
     std::unique_ptr<db::minipg::MiniPg> pg;
     sim::Tracer tracer;
@@ -129,13 +127,7 @@ struct Cluster::Shard
     sim::Domain &
     domain()
     {
-        return twoB ? twoB->domain() : blockDev->domain();
-    }
-
-    ssd::SsdDevice &
-    device() const
-    {
-        return twoB ? twoB->device() : *blockDev;
+        return rig.dataDevice().domain();
     }
 
     std::uint64_t
@@ -148,22 +140,27 @@ struct Cluster::Shard
 namespace
 {
 
-/** Mirror of the GC-campaign rig preset (tests/support/rig.hh). */
-ssd::SsdConfig
-shardDeviceConfig(const ClusterConfig &cfg, unsigned shard,
-                  bool follower = false)
+/** The rig a shard's (engine, wal) pair runs on: redis shards keep
+ *  their BA-WALs single-buffered (ClusterConfig::Wal). */
+rigs::RigSpec
+shardSpec(const ClusterConfig &cfg, unsigned shard)
 {
-    ssd::SsdConfig dev = ssd::SsdConfig::tiny();
-    dev.name = "shard" + std::to_string(shard) +
-               (follower ? ".follower" : "");
-    if (cfg.gc) {
-        dev.nandCfg.geometry.blocksPerDie = 6;
-        dev.ftlCfg.backgroundGc = true;
-        dev.ftlCfg.gcStepPages = 3;
-        dev.nandCfg.sched.readPriority = true;
-        dev.nandCfg.sched.eraseSuspend = true;
+    const bool single = cfg.engine == ClusterConfig::Engine::redis;
+    rigs::WalKind kind = rigs::WalKind::block;
+    switch (cfg.wal) {
+      case ClusterConfig::Wal::ba:
+        kind = single ? rigs::WalKind::baSingle : rigs::WalKind::ba;
+        break;
+      case ClusterConfig::Wal::block:
+        break;
+      case ClusterConfig::Wal::baRepl:
+        kind = single ? rigs::WalKind::baReplSingle
+                      : rigs::WalKind::baRepl;
+        break;
     }
-    return dev;
+    rigs::RigSpec spec = cfg.gc ? rigs::gcSpec(kind) : rigs::tinySpec(kind);
+    spec.name = "shard" + std::to_string(shard);
+    return spec;
 }
 
 } // namespace
@@ -178,6 +175,12 @@ Cluster::Cluster(const ClusterConfig &cfg, sim::Tracer *trace)
 {
     if (cfg_.shards == 0)
         sim::fatal("Cluster: at least one shard required");
+    if (cfg_.queuePairs == 0)
+        sim::fatal("Cluster: at least one queue pair per shard required");
+    if (cfg_.rebalanceAtCycle > cfg_.cycles) {
+        sim::fatal("Cluster: rebalance at cycle ", cfg_.rebalanceAtCycle,
+                   " never starts in a run of ", cfg_.cycles, " cycles");
+    }
     if (cfg_.rebalanceAtCycle > 0) {
         if (cfg_.moveTo >= cfg_.shards)
             sim::fatal("Cluster: moveTo shard ", cfg_.moveTo, " of ",
@@ -208,7 +211,7 @@ Cluster::Cluster(const ClusterConfig &cfg, sim::Tracer *trace)
     // completions an interrupt; the lookaheads are exactly those
     // minimum latencies.
     rc.requestLatency = shards_.front()
-                            ->device()
+                            ->rig.dataDevice()
                             .config()
                             .pcieCfg.minPostedLatency();
     rc.completionLatency = ssd::NvmeQueueConfig{}.completionCost;
@@ -263,69 +266,20 @@ Cluster::buildShards(sim::Tracer *trace)
     shards_.reserve(cfg_.shards);
     for (unsigned s = 0; s < cfg_.shards; ++s) {
         auto shard = std::make_unique<Shard>();
-        const std::uint64_t region =
-            cfg_.gc ? 128 * sim::KiB : sim::MiB;
-        const std::uint64_t half =
-            cfg_.gc ? 16 * sim::KiB : 32 * sim::KiB;
-        ba::BaConfig bc;
-        bc.bufferBytes = cfg_.gc ? 64 * sim::KiB : 128 * sim::KiB;
-        wal::BaWalConfig wc;
-        wc.regionBytes = region;
-        wc.halfBytes = half;
-        // Single-buffered for Redis, respecting its single-threaded
-        // design (Section IV-B); minipg group-commits, so it keeps
-        // the double-buffered halves.
-        wc.doubleBuffer = cfg_.engine == ClusterConfig::Engine::pg;
-        switch (cfg_.wal) {
-          case ClusterConfig::Wal::ba:
-            shard->twoB = std::make_unique<ba::TwoBSsd>(
-                shardDeviceConfig(cfg_, s), bc);
-            shard->log = std::make_unique<wal::BaWal>(*shard->twoB,
-                                                      wc);
-            break;
-          case ClusterConfig::Wal::block: {
-            shard->blockDev = std::make_unique<ssd::SsdDevice>(
-                shardDeviceConfig(cfg_, s));
-            wal::BlockWalConfig blk;
-            blk.regionBytes = region;
-            shard->log = std::make_unique<wal::BlockWal>(
-                *shard->blockDev, blk);
-            break;
-          }
-          case ClusterConfig::Wal::baRepl: {
-            shard->twoB = std::make_unique<ba::TwoBSsd>(
-                shardDeviceConfig(cfg_, s), bc);
-            shard->followerTwoB = std::make_unique<ba::TwoBSsd>(
-                shardDeviceConfig(cfg_, s, true), bc);
-            auto repl = std::make_unique<wal::ReplicatedWal>(
-                std::make_unique<wal::BaWal>(*shard->twoB, wc),
-                std::make_unique<wal::BaWal>(*shard->followerTwoB,
-                                             wc),
-                cfg_.repl);
-            shard->repl = repl.get();
-            shard->log = std::move(repl);
-            break;
-          }
-        }
+        shard->rig = rigs::makeRig(shardSpec(cfg_, s));
         if (cfg_.engine == ClusterConfig::Engine::redis) {
             shard->redis = std::make_unique<db::miniredis::MiniRedis>(
-                *shard->log);
+                *shard->rig.log);
         } else {
             shard->pg = std::make_unique<db::minipg::MiniPg>(
-                *shard->log);
+                *shard->rig.log);
         }
         if (trace) {
             // Stream s+1 keeps this shard's global span ids disjoint
             // from the host's (stream 0) and every other shard's.
             shard->tracer.setStream(s + 1);
             shard->domain().setTracer(&shard->tracer);
-            if (shard->twoB)
-                shard->twoB->installTracer(&shard->tracer);
-            if (shard->followerTwoB)
-                shard->followerTwoB->installTracer(&shard->tracer);
-            if (shard->blockDev)
-                shard->blockDev->setTracer(&shard->tracer);
-            shard->log->setTracer(&shard->tracer);
+            shard->rig.installTracer(&shard->tracer);
         }
         shards_.push_back(std::move(shard));
         // The Shard aggregate (store, WAL handle, tracer, service
@@ -489,14 +443,15 @@ Cluster::buildSlo()
             return static_cast<double>(router_->outstanding(s));
         });
         reg->addGauge(p + ".wal_bytes", [sh] {
-            return static_cast<double>(sh->log->bytesToStore());
+            return static_cast<double>(sh->rig.log->bytesToStore());
         });
         reg->addGauge(p + ".gc_debt", [sh] {
             // Blocks short of the GC high watermark: >0 means the
             // shard is burning margin and relocations are (or will
             // be) stealing bandwidth from foreground ops.
-            const auto &fc = sh->device().config().ftlCfg;
-            const std::uint32_t free = sh->device().ftl().freeBlocks();
+            ssd::SsdDevice &dev = sh->rig.dataDevice();
+            const auto &fc = dev.config().ftlCfg;
+            const std::uint32_t free = dev.ftl().freeBlocks();
             return free >= fc.gcHighWaterBlocks
                        ? 0.0
                        : static_cast<double>(fc.gcHighWaterBlocks -
@@ -759,11 +714,11 @@ Cluster::stateDigest() const
             f.mix(sh->pg->nodeCount());
             f.mix(sh->pg->linkCount());
         }
-        f.mix(sh->device().readsServed());
-        f.mix(sh->device().writesServed());
-        if (sh->followerTwoB) {
-            f.mix(sh->followerTwoB->device().readsServed());
-            f.mix(sh->followerTwoB->device().writesServed());
+        f.mix(sh->rig.dataDevice().readsServed());
+        f.mix(sh->rig.dataDevice().writesServed());
+        if (sh->rig.followerTwoB) {
+            f.mix(sh->rig.followerTwoB->device().readsServed());
+            f.mix(sh->rig.followerTwoB->device().writesServed());
         }
     }
     f.mix(map_.version());
@@ -776,19 +731,8 @@ Cluster::metricsSnapshot() const
 {
     sim::MetricRegistry reg;
     engine_.registerMetrics(reg, "engine");
-    for (unsigned s = 0; s < cfg_.shards; ++s) {
-        const Shard &sh = *shards_[s];
-        const std::string prefix = "shard" + std::to_string(s);
-        if (sh.twoB)
-            sh.twoB->registerMetrics(reg, prefix + ".ba");
-        if (sh.followerTwoB) {
-            sh.followerTwoB->registerMetrics(reg,
-                                             prefix + ".follower_ba");
-        }
-        if (sh.blockDev)
-            sh.blockDev->registerMetrics(reg, prefix + ".ssd");
-        sh.log->registerMetrics(reg, prefix + ".wal");
-    }
+    for (unsigned s = 0; s < cfg_.shards; ++s)
+        shards_[s]->rig.registerMetrics(reg, "shard" + std::to_string(s));
     sim::MetricsSnapshot snap = reg.snapshot();
     // The SLO gauges live in per-shard registries (each with its own
     // sampler); merge() is a path union, which is what carries gauges
@@ -881,7 +825,8 @@ bool
 Cluster::crashAndRecoverShard(unsigned shard)
 {
     Shard &sh = *shards_.at(shard);
-    if (!sh.repl) {
+    wal::ReplicatedWal *repl = sh.rig.repl;
+    if (repl == nullptr) {
         sim::panic("crashAndRecoverShard: shard ", shard,
                    " has no replicated WAL (wal=", walName(cfg_.wal),
                    ")");
@@ -892,12 +837,45 @@ Cluster::crashAndRecoverShard(unsigned shard)
     // must not precede the domain clock (the engine advanced it to
     // the run horizon), or the capacitor-dump events the power loss
     // schedules would land in the past.
-    sh.repl->crash(std::max(sh.clock, sh.domain().now()));
+    repl->crash(std::max(sh.clock, sh.domain().now()));
     if (sh.redis)
         sh.redis->recover();
     else
         sh.pg->recover();
-    return sh.contentHash() == before && sh.repl->promoted();
+    return sh.contentHash() == before && repl->promoted();
+}
+
+ClusterResult
+runCluster(const ClusterConfig &cfg, sim::Tracer *trace)
+{
+    Cluster c(cfg, trace);
+    c.run();
+    // Every cluster run doubles as a consistency check: ownership and
+    // payload bytes must line up with the (possibly rebalanced) map.
+    c.verifyConsistency();
+
+    ClusterResult res;
+    const host::ShardRouter &router = c.router();
+    res.opsRouted = router.opsRouted();
+    res.opsCompleted = router.opsCompleted();
+    res.batchesDispatched = router.batchesDispatched();
+    res.batchesCompleted = router.batchesCompleted();
+    res.eventsFired = c.engine().eventsFired();
+    res.rounds = c.engine().rounds();
+    res.messages = c.engine().messagesDelivered();
+    res.horizon = c.horizon();
+    res.batchP50 = router.batchLatency().percentile(50.0);
+    res.batchP99 = router.batchLatency().percentile(99.0);
+    res.opP50 = router.opLatency().percentile(50.0);
+    res.opP99 = router.opLatency().percentile(99.0);
+    res.opP999 = router.opLatency().percentile(99.9);
+    res.usersTouched = router.usersTouched();
+    res.rebalances = c.rebalancesDone();
+    res.movedKeys = c.movedKeys();
+    res.stateDigest = c.stateDigest();
+    res.metricsJson = c.metricsJson();
+    res.sloSeriesJson = c.sloJson();
+    return res;
 }
 
 } // namespace bssd::cluster

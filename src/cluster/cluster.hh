@@ -8,11 +8,12 @@
  *  - one host domain running a host::ShardRouter fed by an open-loop
  *    arrival process (Poisson or bursty, thousands of simulated
  *    users);
- *  - N shard domains, each a full rig: miniredis or minipg over a
- *    BA-WAL on a 2B-SSD, a page-aligned block WAL, or a BA-WAL
- *    synchronously replicated to a follower 2B-SSD
- *    (wal::ReplicatedWal), optionally with the GC preset that keeps
- *    incremental background GC continuously active;
+ *  - N shard domains, each miniredis or minipg over a rig from the
+ *    rig factory (src/wal/rig.hh): a BA-WAL on a 2B-SSD, a
+ *    page-aligned block WAL, or a BA-WAL synchronously replicated to
+ *    a follower 2B-SSD (wal::ReplicatedWal), on the GC-campaign
+ *    preset that keeps incremental background GC continuously active
+ *    or on the crash-matrix preset;
  *  - a cluster::ShardMap routing keys by hash or by contiguous range,
  *    consulted by the router's route function on every operation.
  *
@@ -50,20 +51,15 @@
 #include <string>
 #include <vector>
 
-#include "ba/two_b_ssd.hh"
 #include "cluster/shard_map.hh"
-#include "db/minipg/minipg.hh"
-#include "db/miniredis/miniredis.hh"
 #include "host/shard_router.hh"
 #include "sim/client.hh"
 #include "sim/domain.hh"
 #include "sim/engine.hh"
 #include "sim/metrics.hh"
 #include "sim/report.hh"
+#include "sim/ticks.hh"
 #include "sim/trace.hh"
-#include "ssd/ssd_device.hh"
-#include "wal/log_device.hh"
-#include "wal/replicated_wal.hh"
 
 namespace bssd::cluster
 {
@@ -81,18 +77,21 @@ struct ClusterConfig
         pg     ///< minipg, XLOG + group commit
     } engine = Engine::redis;
 
-    /** Shard WAL flavour. */
+    /** Shard WAL flavour. BA-WALs are single-buffered under redis,
+     *  respecting its single-threaded design (Section IV-B), and
+     *  double-buffered under minipg, which group-commits. */
     enum class Wal : std::uint8_t
     {
-        ba,    ///< BA-WAL on a 2B-SSD (single-buffered, like Redis)
+        ba,    ///< BA-WAL on a 2B-SSD
         block, ///< page-aligned block WAL with fsync
         baRepl ///< BA-WAL replicated to a follower 2B-SSD
     } wal = Wal::ba;
 
     /**
-     * GC preset: shrink each shard's array (6 blocks/die) and run
-     * incremental background GC with partial relocation steps, so the
-     * op stream wraps the WAL region and keeps GC continuously active.
+     * GC preset (rigs::gcSpec): shrink each shard's array (6
+     * blocks/die) and run incremental background GC with partial
+     * relocation steps, so the op stream wraps the WAL region and
+     * keeps GC continuously active. Off: rigs::tinySpec.
      */
     bool gc = true;
 
@@ -101,9 +100,6 @@ struct ClusterConfig
 
     /** Engine worker threads (1 = serial reference). */
     unsigned engineThreads = 1;
-
-    /** Inter-device link model for Wal::baRepl shards. */
-    wal::ReplicatedWalConfig repl;
 
     /** @name Router workload (see host::RouterConfig) @{ */
     std::uint32_t opsPerCycle = 64;
@@ -115,7 +111,7 @@ struct ClusterConfig
     std::uint64_t keySpace = 512;
     std::uint32_t valueBytes = 96;
     std::uint64_t seed = 1;
-    /** Host I/O queue pairs per shard (host::RouterConfig). */
+    /** Host I/O queue pairs per shard (host::RouterConfig), >= 1. */
     std::uint16_t queuePairs = 1;
     /** Batches each pair admits; 0 = unbounded (no queue gating). */
     std::uint16_t queueDepth = 0;
@@ -123,7 +119,8 @@ struct ClusterConfig
 
     /** @name Online rebalance @{ */
 
-    /** Arrival cycle at which the range move starts (0 = never). */
+    /** Arrival cycle at which the range move starts (0 = never; at
+     *  most cycles). */
     std::uint64_t rebalanceAtCycle = 0;
     /**
      * Moved interval of the ROUTING SPACE in 1/256ths: the plan moves
@@ -167,7 +164,7 @@ class Cluster
     /**
      * Drive the engine in fixed chunks until the router drains and
      * any scheduled rebalance has flipped. Panics if the run fails to
-     * drain (e.g. a rebalance scheduled past the last cycle).
+     * drain.
      */
     void run();
 
@@ -311,6 +308,48 @@ class Cluster
     sim::Tick rebalStart_ = 0;
     sim::Tick drainEnd_ = 0;
 };
+
+/** Everything a cluster run produces, determinism-comparable. */
+struct ClusterResult
+{
+    std::uint64_t opsRouted = 0;
+    std::uint64_t opsCompleted = 0;
+    std::uint64_t batchesDispatched = 0;
+    std::uint64_t batchesCompleted = 0;
+    /** Engine events fired, barrier rounds, mailbox messages. */
+    std::uint64_t eventsFired = 0;
+    std::uint64_t rounds = 0;
+    std::uint64_t messages = 0;
+    /** Simulated time the run needed to drain (ticks). */
+    sim::Tick horizon = 0;
+    /** Host-observed batch latency percentiles (ticks). */
+    std::uint64_t batchP50 = 0;
+    std::uint64_t batchP99 = 0;
+    /** Host-observed per-op latency percentiles (ticks). */
+    std::uint64_t opP50 = 0;
+    std::uint64_t opP99 = 0;
+    std::uint64_t opP999 = 0;
+    /** Distinct keys ("simulated users") the run touched. */
+    std::uint64_t usersTouched = 0;
+    /** Range moves completed / keys they physically copied. */
+    std::uint64_t rebalances = 0;
+    std::uint64_t movedKeys = 0;
+    /** Cluster::stateDigest() of the final state. */
+    std::uint64_t stateDigest = 0;
+    /** Cluster::metricsJson(). */
+    std::string metricsJson;
+    /** Cluster::sloJson(). */
+    std::string sloSeriesJson;
+};
+
+/**
+ * Build the cluster, run it until the router drains (and any
+ * scheduled rebalance flips), verify fleet-wide consistency, and tear
+ * it down: the one entry point the benches, the sweep harness and the
+ * determinism tests share. @p trace as for Cluster's constructor.
+ */
+ClusterResult runCluster(const ClusterConfig &cfg,
+                         sim::Tracer *trace = nullptr);
 
 } // namespace bssd::cluster
 

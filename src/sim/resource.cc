@@ -26,62 +26,6 @@ FifoResource::reset()
     grants_ = 0;
 }
 
-MultiResource::MultiResource(std::size_t servers, std::string name)
-    : name_(std::move(name)), free_(servers, 0)
-{
-    if (servers == 0)
-        fatal("MultiResource '", name_, "' needs at least one server");
-}
-
-std::size_t
-MultiResource::pickServer() const
-{
-    return static_cast<std::size_t>(
-        std::min_element(free_.begin(), free_.end()) - free_.begin());
-}
-
-Interval
-MultiResource::reserve(Tick earliest, Tick duration)
-{
-    std::size_t s = pickServer();
-    Tick start = std::max(earliest, free_[s]);
-    Tick end = start + duration;
-    free_[s] = end;
-    busy_ += duration;
-    ++grants_;
-    return {start, end};
-}
-
-Interval
-MultiResource::reserveBatch(Tick earliest, Tick duration,
-                            std::uint64_t count)
-{
-    if (count == 0)
-        return {earliest, earliest};
-    Tick first = maxTick;
-    Tick last = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Interval iv = reserve(earliest, duration);
-        first = std::min(first, iv.start);
-        last = std::max(last, iv.end);
-    }
-    return {first, last};
-}
-
-Tick
-MultiResource::nextFree() const
-{
-    return *std::min_element(free_.begin(), free_.end());
-}
-
-void
-MultiResource::reset()
-{
-    std::fill(free_.begin(), free_.end(), 0);
-    busy_ = 0;
-    grants_ = 0;
-}
-
 DrainingBuffer::DrainingBuffer(std::uint64_t capacityBytes,
                                Bandwidth drainRate)
     : capacity_(capacityBytes), drainRate_(drainRate)

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/ticks.hh"
 
@@ -71,49 +70,6 @@ class FifoResource
     Tick nextFree_ = 0;
     Tick busy_ = 0;
     std::uint64_t grants_ = 0;
-};
-
-/**
- * A k-server resource (e.g., the dies behind a NAND channel, or a pool
- * of flash channels). Each reservation is placed on the server that can
- * start it soonest.
- */
-class MultiResource
-{
-  public:
-    /**
-     * @param servers number of identical servers (> 0)
-     */
-    explicit MultiResource(std::size_t servers,
-                           std::string name = "multi-resource");
-
-    /** Reserve one server for @p duration, no earlier than @p earliest. */
-    Interval reserve(Tick earliest, Tick duration);
-
-    /**
-     * Reserve @p count independent server slots of @p duration each,
-     * all ready at @p earliest; returns the interval covering the whole
-     * batch (start of first, end of last). Used for page-parallel NAND
-     * access where a large request fans out across dies.
-     */
-    Interval reserveBatch(Tick earliest, Tick duration, std::uint64_t count);
-
-    /** Earliest time any server frees up. */
-    Tick nextFree() const;
-
-    std::size_t servers() const { return free_.size(); }
-    Tick busyTime() const { return busy_; }
-    std::uint64_t grants() const { return grants_; }
-    void reset();
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::vector<Tick> free_;
-    Tick busy_ = 0;
-    std::uint64_t grants_ = 0;
-
-    std::size_t pickServer() const;
 };
 
 /**

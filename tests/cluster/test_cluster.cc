@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "cluster/cluster.hh"
 #include "sim/logging.hh"
@@ -53,6 +55,18 @@ rebalancingFleet(Sharding kind)
     cfg.moveEnd256 = 64;
     cfg.moveTo = cfg.shards - 1;
     return cfg;
+}
+
+/** 64-bit FNV-1a over the bytes of @p s. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
 }
 
 } // namespace
@@ -376,4 +390,77 @@ TEST(Cluster, RejectsBadConfigurations)
     badInterval.moveBegin256 = 64;
     badInterval.moveEnd256 = 64;
     EXPECT_THROW(Cluster c(badInterval), sim::SimFatal);
+
+    // A move scheduled past the last arrival cycle would never start;
+    // at the last cycle it still runs.
+    ClusterConfig lateMove = rebalancingFleet(Sharding::hash);
+    lateMove.rebalanceAtCycle = lateMove.cycles + 1;
+    EXPECT_THROW(Cluster c(lateMove), sim::SimFatal);
+    lateMove.rebalanceAtCycle = lateMove.cycles;
+    Cluster last(lateMove);
+    last.run();
+    EXPECT_EQ(last.rebalancesDone(), 1u);
+
+    ClusterConfig noPairs = smallFleet();
+    noPairs.queuePairs = 0;
+    EXPECT_THROW(Cluster c(noPairs), sim::SimFatal);
+}
+
+TEST(Cluster, ShardPresetsArePinned)
+{
+    // Every engine x WAL x GC shard preset on smallFleet(), pinned by
+    // the state digest and a hash of the merged metrics JSON. A preset
+    // drift (device geometry, GC knobs, region/half/buffer sizes,
+    // single vs double buffering) moves at least the metrics hash,
+    // even where the digest and the SLO series stay put.
+    using E = ClusterConfig::Engine;
+    using W = ClusterConfig::Wal;
+    struct Cell
+    {
+        E engine;
+        W wal;
+        bool gc;
+        std::uint64_t digest;
+        std::uint64_t metricsHash;
+    };
+    const Cell cells[] = {
+        {E::redis, W::ba, true,
+         0xda7c1fcd1ced7725ull, 0x2d28d0a411461753ull},
+        {E::redis, W::ba, false,
+         0xda7c1fcd1ced7725ull, 0x4d8560ec27bc61d3ull},
+        {E::redis, W::block, true,
+         0xb770fb238002623aull, 0xbaf2f11e7c609f94ull},
+        {E::redis, W::block, false,
+         0xb770fb238002623aull, 0xaaecc0c9d35b24d0ull},
+        {E::redis, W::baRepl, true,
+         0xba2eb5bebd6f5665ull, 0x12e422983168d6bull},
+        {E::redis, W::baRepl, false,
+         0xba2eb5bebd6f5665ull, 0x62644fa40eb66d55ull},
+        {E::pg, W::ba, true,
+         0x77ca82b4ffd2a9b7ull, 0x40072fdc14848232ull},
+        {E::pg, W::ba, false,
+         0x77ca82b4ffd2a9b7ull, 0x5413cc5f9c54737aull},
+        {E::pg, W::block, true,
+         0xde772cb470e4cb04ull, 0xac230f3fa2aa1418ull},
+        {E::pg, W::block, false,
+         0xde772cb470e4cb04ull, 0x3318f4b2fdcd7766ull},
+        {E::pg, W::baRepl, true,
+         0xc43225014f04c4f7ull, 0x9220a914f0b789a3ull},
+        {E::pg, W::baRepl, false,
+         0xc43225014f04c4f7ull, 0xfd4ce4598f3745f9ull},
+    };
+    for (const Cell &cell : cells) {
+        ClusterConfig cfg = smallFleet();
+        cfg.engine = cell.engine;
+        cfg.wal = cell.wal;
+        cfg.gc = cell.gc;
+        SCOPED_TRACE(std::string(cluster::engineName(cell.engine)) +
+                     " x " + cluster::walName(cell.wal) +
+                     (cell.gc ? " gc" : " no-gc"));
+        Cluster c(cfg);
+        c.run();
+        const std::string json = c.metricsJson();
+        EXPECT_EQ(c.stateDigest(), cell.digest);
+        EXPECT_EQ(fnv1a(json), cell.metricsHash) << json;
+    }
 }

@@ -23,10 +23,12 @@
 #include "db/miniredis/miniredis.hh"
 #include "db/minirocks/minirocks.hh"
 #include "sim/rng.hh"
+#include "wal/rig.hh"
 
-#include "../support/rig.hh"
+#include "../support/crash_harness.hh"
 
 using namespace bssd;
+using campaign::reproLine;
 using rigs::WalKind;
 using rigs::walName;
 
@@ -69,14 +71,14 @@ TEST_P(CrashMatrix, RedisRecoversExactCommittedState)
     redis.recover();
 
     ASSERT_EQ(redis.keys(), expect.size())
-        << rigs::reproLine("redis", kind, seed);
+        << reproLine("redis", kind, seed);
     for (const auto &[k, v] : expect) {
         std::optional<std::vector<std::uint8_t>> got;
         redis.get(0, k, &got);
         ASSERT_TRUE(got.has_value())
-            << rigs::reproLine("redis", kind, seed) << " key " << k;
+            << reproLine("redis", kind, seed) << " key " << k;
         ASSERT_EQ(std::string(got->begin(), got->end()), v)
-            << rigs::reproLine("redis", kind, seed) << " key " << k;
+            << reproLine("redis", kind, seed) << " key " << k;
     }
 }
 
@@ -107,14 +109,14 @@ TEST_P(CrashMatrix, PgRecoversExactCommittedState)
     pg.recover();
 
     ASSERT_EQ(pg.nodeCount(), nodes.size())
-        << rigs::reproLine("pg", kind, seed);
+        << reproLine("pg", kind, seed);
     for (const auto &[id, tag] : nodes) {
         std::vector<std::uint8_t> got;
         pg.getNode(0, id, &got);
         ASSERT_EQ(got.size(), 60u)
-            << rigs::reproLine("pg", kind, seed) << " node " << id;
+            << reproLine("pg", kind, seed) << " node " << id;
         ASSERT_EQ(got[0], tag)
-            << rigs::reproLine("pg", kind, seed) << " node " << id;
+            << reproLine("pg", kind, seed) << " node " << id;
     }
 }
 
@@ -157,9 +159,9 @@ TEST_P(CrashMatrix, RocksRecoversExactCommittedState)
         std::optional<std::vector<std::uint8_t>> got;
         db.get(0, k, &got);
         ASSERT_TRUE(got.has_value())
-            << rigs::reproLine("rocks", kind, seed) << " key " << k;
+            << reproLine("rocks", kind, seed) << " key " << k;
         ASSERT_EQ(std::string(got->begin(), got->end()), v)
-            << rigs::reproLine("rocks", kind, seed) << " key " << k;
+            << reproLine("rocks", kind, seed) << " key " << k;
     }
     // Nothing extra resurfaces.
     for (int i = 0; i < 50; ++i) {
@@ -169,7 +171,7 @@ TEST_P(CrashMatrix, RocksRecoversExactCommittedState)
         std::optional<std::vector<std::uint8_t>> got;
         db.get(0, key, &got);
         ASSERT_FALSE(got.has_value())
-            << rigs::reproLine("rocks", kind, seed) << " key " << key;
+            << reproLine("rocks", kind, seed) << " key " << key;
     }
 }
 

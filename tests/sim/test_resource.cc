@@ -43,45 +43,6 @@ TEST(FifoResource, TracksUtilization)
     EXPECT_EQ(r.nextFree(), 0u);
 }
 
-TEST(MultiResource, ParallelServers)
-{
-    MultiResource m(2, "chan");
-    auto a = m.reserve(0, 10);
-    auto b = m.reserve(0, 10);
-    // Two servers: both start immediately.
-    EXPECT_EQ(a.start, 0u);
-    EXPECT_EQ(b.start, 0u);
-    // Third request queues behind the earliest-free server.
-    auto c = m.reserve(0, 10);
-    EXPECT_EQ(c.start, 10u);
-}
-
-TEST(MultiResource, BatchFansOut)
-{
-    MultiResource m(4);
-    // 8 units of work over 4 servers: two rounds.
-    auto iv = m.reserveBatch(0, 100, 8);
-    EXPECT_EQ(iv.start, 0u);
-    EXPECT_EQ(iv.end, 200u);
-}
-
-TEST(MultiResource, BatchOfZeroIsInstant)
-{
-    MultiResource m(4);
-    auto iv = m.reserveBatch(7, 100, 0);
-    EXPECT_EQ(iv.start, 7u);
-    EXPECT_EQ(iv.end, 7u);
-}
-
-TEST(MultiResource, NextFreeIsEarliestServer)
-{
-    MultiResource m(2);
-    m.reserve(0, 10);
-    EXPECT_EQ(m.nextFree(), 0u);
-    m.reserve(0, 20);
-    EXPECT_EQ(m.nextFree(), 10u);
-}
-
 TEST(DrainingBuffer, AdmitsWhileSpaceRemains)
 {
     // 1000-byte buffer draining at 1 byte/ns.

@@ -18,7 +18,7 @@
  * Determinism: makeOps() draws only from its own Rng(seed) and the
  * injector only from Rng(plan.seed), so a cell run is a pure function
  * of (engine, wal, seed, plan). The repro line for any failure is
- * rigs::reproLine(engine, wal, seed, point).
+ * reproLine(engine, wal, seed, point).
  */
 
 #ifndef BSSD_TESTS_SUPPORT_CRASH_HARNESS_HH
@@ -34,8 +34,7 @@
 #include "db/miniredis/miniredis.hh"
 #include "sim/fault.hh"
 #include "sim/rng.hh"
-
-#include "rig.hh"
+#include "wal/rig.hh"
 
 namespace bssd::campaign
 {
@@ -52,6 +51,22 @@ durableWals()
         WalKind::baRepl, WalKind::pm, WalKind::pmr,
     };
     return wals;
+}
+
+/**
+ * One-line repro for a failing (engine, wal, seed[, crash point])
+ * cell, replayable via the crash_campaign tool.
+ */
+inline std::string
+reproLine(const std::string &engine, WalKind wal, std::uint64_t seed,
+          std::int64_t crashPoint = -1)
+{
+    std::string s = "repro: crash_campaign --engine=" + engine +
+                    " --wal=" + rigs::walName(wal) +
+                    " --seed=" + std::to_string(seed);
+    if (crashPoint >= 0)
+        s += " --point=" + std::to_string(crashPoint);
+    return s;
 }
 
 /**
@@ -430,8 +445,8 @@ runCell(WalKind wal, std::uint64_t seed, const CellConfig &cc = {})
         } else {
             res.failures.push_back(
                 {k, o.detail + "\n  " +
-                        rigs::reproLine(A::name, wal, seed,
-                                        static_cast<std::int64_t>(k))});
+                        reproLine(A::name, wal, seed,
+                                  static_cast<std::int64_t>(k))});
         }
     };
 

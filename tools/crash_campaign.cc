@@ -279,8 +279,8 @@ runCells(const Options &o, WalKind wal)
                 std::printf("    %s\n", A::describe(op).c_str());
             std::printf(
                 "  %s\n",
-                rigs::reproLine(A::name, wal, s,
-                                static_cast<std::int64_t>(point))
+                campaign::reproLine(A::name, wal, s,
+                                    static_cast<std::int64_t>(point))
                     .c_str());
         }
     }
