@@ -778,10 +778,11 @@ Cluster::verifyConsistency() const
 {
     for (unsigned s = 0; s < cfg_.shards; ++s) {
         const Shard &sh = *shards_[s];
-        // One pass in hash order. It keeps the failing key that sorts
-        // first in the store's own key order, so the report names the
-        // key a sorted scan would have stopped at, whatever the hash
-        // map's layout.
+        // One pass in the store's unordered scan order (MiniRedis's
+        // entry order, MiniPg's hash order). It keeps the failing key
+        // that sorts first in the store's own key order, so the report
+        // names the key a sorted scan would have stopped at, whatever
+        // the scan order.
         auto sortsBefore = [&](std::uint64_t a, std::uint64_t b) {
             return sh.redis ? redisKey(a) < redisKey(b) : a < b;
         };

@@ -61,6 +61,7 @@ encodeNode(XlogOp op, std::uint64_t id,
            std::span<const std::uint8_t> payload)
 {
     std::vector<std::uint8_t> v;
+    v.reserve(1 + 8 + 4 + payload.size());
     v.push_back(static_cast<std::uint8_t>(op));
     put64(v, id);
     put32(v, static_cast<std::uint32_t>(payload.size()));
@@ -73,6 +74,7 @@ encodeLink(XlogOp op, const LinkKey &key,
            std::span<const std::uint8_t> payload)
 {
     std::vector<std::uint8_t> v;
+    v.reserve(1 + 8 + 4 + 8 + 4 + payload.size());
     v.push_back(static_cast<std::uint8_t>(op));
     put64(v, key.id1);
     put32(v, key.type);

@@ -1,7 +1,9 @@
 #include "db/miniredis/miniredis.hh"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <limits>
 
 #include "sim/logging.hh"
 #include "wal/record.hh"
@@ -14,6 +16,20 @@ namespace
 
 constexpr std::uint8_t cmdSet = 1;
 constexpr std::uint8_t cmdDel = 2;
+
+/** A slot's low 32 bits: entry index + 1 (0 = empty slot). */
+constexpr std::uint64_t indexMask = 0xffffffff;
+/** Slot count of a store's first key. */
+constexpr std::size_t minSlots = 16;
+/** Keys a store can hold: their slots, at most half full, must stay
+ *  addressable by the 32 hash bits a slot keeps. */
+constexpr std::size_t maxKeys = std::size_t(1) << 31;
+
+std::uint64_t
+keyHash(std::string_view key)
+{
+    return std::hash<std::string_view>{}(key);
+}
 
 void
 put32(std::vector<std::uint8_t> &v, std::uint32_t x)
@@ -37,6 +53,7 @@ encodeCmd(std::uint8_t cmd, const std::string &key,
           std::span<const std::uint8_t> value)
 {
     std::vector<std::uint8_t> v;
+    v.reserve(1 + 4 + key.size() + 4 + value.size());
     v.push_back(cmd);
     put32(v, static_cast<std::uint32_t>(key.size()));
     v.insert(v.end(), key.begin(), key.end());
@@ -91,28 +108,141 @@ MiniRedis::maybeRewriteAof(sim::Tick now)
     return now + sim::usOf(500);
 }
 
+std::size_t
+MiniRedis::probe(std::string_view key, std::uint64_t hash) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    const std::uint64_t tag = hash & ~indexMask;
+    for (std::size_t i = hash >> slotShift_;; i = (i + 1) & mask) {
+        const std::uint64_t s = slots_[i];
+        if (s == 0 || ((s & ~indexMask) == tag &&
+                       entries_[(s & indexMask) - 1].key == key)) {
+            return i;
+        }
+    }
+}
+
+std::size_t
+MiniRedis::slotOf(std::string_view key) const
+{
+    if (slots_.empty())
+        return noSlot;
+    const std::size_t i = probe(key, keyHash(key));
+    return slots_[i] == 0 ? noSlot : i;
+}
+
+MiniRedis::Entry &
+MiniRedis::entryAt(std::size_t slot)
+{
+    return entries_[(slots_[slot] & indexMask) - 1];
+}
+
+const MiniRedis::Entry &
+MiniRedis::entryAt(std::size_t slot) const
+{
+    return entries_[(slots_[slot] & indexMask) - 1];
+}
+
+const MiniRedis::Entry *
+MiniRedis::find(std::string_view key) const
+{
+    const std::size_t slot = slotOf(key);
+    return slot == noSlot ? nullptr : &entryAt(slot);
+}
+
+std::pair<MiniRedis::Entry *, bool>
+MiniRedis::emplace(const std::string &key)
+{
+    const std::uint64_t hash = keyHash(key);
+    if (slots_.empty())
+        grow();
+    std::size_t i = probe(key, hash);
+    if (slots_[i] != 0)
+        return {&entryAt(i), false};
+    if (2 * (entries_.size() + 1) > slots_.size()) {
+        grow();
+        i = probe(key, hash);
+    }
+    if (entries_.size() == maxKeys)
+        sim::panic("miniredis: more than ", maxKeys, " keys");
+    entries_.push_back({key, {}, 0});
+    slots_[i] = (hash & ~indexMask) | entries_.size();
+    return {&entries_.back(), true};
+}
+
+void
+MiniRedis::removeAt(std::size_t slot)
+{
+    const std::size_t mask = slots_.size() - 1;
+    const std::size_t index = (slots_[slot] & indexMask) - 1;
+    // Backward-shift deletion: walk the rest of the probe chain and
+    // pull back into the hole every slot whose home does not lie
+    // after the hole, so no probe ever stops early at a gap.
+    std::size_t hole = slot;
+    for (std::size_t i = (slot + 1) & mask; slots_[i] != 0;
+         i = (i + 1) & mask) {
+        const std::size_t home = slots_[i] >> slotShift_;
+        if (((i - home) & mask) >= ((i - hole) & mask)) {
+            slots_[hole] = slots_[i];
+            hole = i;
+        }
+    }
+    slots_[hole] = 0;
+    // Keep the entries dense: the last one moves into the freed index
+    // and its slot is re-pointed there.
+    const std::size_t last = entries_.size() - 1;
+    if (index != last) {
+        entries_[index] = std::move(entries_[last]);
+        std::size_t i = keyHash(entries_[index].key) >> slotShift_;
+        while ((slots_[i] & indexMask) != last + 1)
+            i = (i + 1) & mask;
+        slots_[i] = (slots_[i] & ~indexMask) | (index + 1);
+    }
+    entries_.pop_back();
+}
+
+void
+MiniRedis::grow()
+{
+    const std::vector<std::uint64_t> old = std::exchange(
+        slots_, std::vector<std::uint64_t>(
+                    std::max(minSlots, 2 * slots_.size())));
+    slotShift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+    // A slot carries its hash's top 32 bits, which hold the home, so
+    // re-placing it needs neither the key nor the entry.
+    const std::size_t mask = slots_.size() - 1;
+    for (const std::uint64_t s : old) {
+        if (s == 0)
+            continue;
+        std::size_t i = s >> slotShift_;
+        while (slots_[i] != 0)
+            i = (i + 1) & mask;
+        slots_[i] = s;
+    }
+}
+
 void
 MiniRedis::put(const std::string &key, std::span<const std::uint8_t> value)
 {
-    auto [it, inserted] = store_.try_emplace(key);
-    Entry &e = it->second;
+    auto [e, inserted] = emplace(key);
     if (inserted)
         undo_.push_back({key, std::nullopt});
-    else if (e.logged != generation_)
-        undo_.push_back({key, std::move(e.value)});
-    e.logged = generation_;
-    e.value.assign(value.begin(), value.end());
+    else if (e->logged != generation_)
+        undo_.push_back({key, std::move(e->value)});
+    e->logged = generation_;
+    e->value.assign(value.begin(), value.end());
 }
 
 void
 MiniRedis::erase(const std::string &key)
 {
-    auto it = store_.find(key);
-    if (it == store_.end())
+    const std::size_t slot = slotOf(key);
+    if (slot == noSlot)
         return;
-    if (it->second.logged != generation_)
-        undo_.push_back({key, std::move(it->second.value)});
-    store_.erase(it);
+    Entry &e = entryAt(slot);
+    if (e.logged != generation_)
+        undo_.push_back({key, std::move(e.value)});
+    removeAt(slot);
 }
 
 sim::Tick
@@ -136,16 +266,22 @@ MiniRedis::del(sim::Tick now, const std::string &key)
 
 sim::Tick
 MiniRedis::incr(sim::Tick now, const std::string &key,
-                std::int64_t *result)
+                std::optional<std::int64_t> *result)
 {
     commands_.add();
     std::int64_t v = 0;
-    if (auto it = store_.find(key); it != store_.end()) {
-        const auto &raw = it->second.value;
-        std::from_chars(reinterpret_cast<const char *>(raw.data()),
-                        reinterpret_cast<const char *>(raw.data()) +
-                            raw.size(),
-                        v);
+    if (const Entry *e = find(key)) {
+        const char *first = reinterpret_cast<const char *>(e->value.data());
+        const char *last = first + e->value.size();
+        const auto [end, ec] = std::from_chars(first, last, v);
+        if (ec != std::errc() || end != last ||
+            v == std::numeric_limits<std::int64_t>::max()) {
+            // "value is not an integer or out of range": the command
+            // is parsed and answered, nothing is written or logged.
+            if (result)
+                result->reset();
+            return cpu(now, key.size() + e->value.size());
+        }
     }
     ++v;
     char buf[24];
@@ -165,13 +301,12 @@ MiniRedis::get(sim::Tick now, const std::string &key,
                std::optional<std::vector<std::uint8_t>> *out) const
 {
     std::size_t bytes = key.size();
-    auto it = store_.find(key);
-    if (it != store_.end())
-        bytes += it->second.value.size();
+    const Entry *e = find(key);
+    if (e)
+        bytes += e->value.size();
     if (out) {
-        *out = it == store_.end()
-            ? std::optional<std::vector<std::uint8_t>>()
-            : std::optional<std::vector<std::uint8_t>>(it->second.value);
+        *out = e ? std::optional<std::vector<std::uint8_t>>(e->value)
+                 : std::nullopt;
     }
     return cpu(now, bytes);
 }
@@ -209,9 +344,9 @@ MiniRedis::recover()
     // new generation, so a second recovery rolls those back too.
     for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
         if (it->value)
-            store_[it->key].value = std::move(*it->value);
-        else
-            store_.erase(it->key);
+            emplace(it->key).first->value = std::move(*it->value);
+        else if (const std::size_t slot = slotOf(it->key); slot != noSlot)
+            removeAt(slot);
     }
     undo_.clear();
     ++generation_;
@@ -257,27 +392,26 @@ MiniRedis::forEachSorted(
     struct Ref
     {
         std::uint64_t prefix;
-        const std::pair<const std::string, Entry> *kv;
+        const Entry *e;
     };
     std::vector<Ref> sorted;
-    sorted.reserve(store_.size());
-    // bssd-lint: allow(det-unordered-iter) collected into a vector that is sorted before visiting
-    for (const auto &kv : store_) {
+    sorted.reserve(entries_.size());
+    for (const Entry &e : entries_) {
         std::uint64_t prefix = 0;
         for (std::size_t i = 0; i < 8; ++i) {
             prefix <<= 8;
-            if (i < kv.first.size())
-                prefix |= static_cast<std::uint8_t>(kv.first[i]);
+            if (i < e.key.size())
+                prefix |= static_cast<std::uint8_t>(e.key[i]);
         }
-        sorted.push_back({prefix, &kv});
+        sorted.push_back({prefix, &e});
     }
     std::sort(sorted.begin(), sorted.end(),
               [](const Ref &a, const Ref &b) {
                   return a.prefix != b.prefix ? a.prefix < b.prefix
-                                              : a.kv->first < b.kv->first;
+                                              : a.e->key < b.e->key;
               });
     for (const Ref &r : sorted)
-        fn(r.kv->first, r.kv->second.value);
+        fn(r.e->key, r.e->value);
 }
 
 void
@@ -285,9 +419,8 @@ MiniRedis::forEachUnordered(
     const std::function<void(const std::string &,
                              std::span<const std::uint8_t>)> &fn) const
 {
-    // bssd-lint: allow(det-unordered-iter) callers are order-insensitive (see the header)
-    for (const auto &[key, entry] : store_)
-        fn(key, entry.value);
+    for (const Entry &e : entries_)
+        fn(e.key, e.value);
 }
 
 } // namespace bssd::db::miniredis

@@ -16,6 +16,14 @@
  * copied: the store keeps an undo log of the pre-images of the keys
  * changed since the rewrite, and recovery rolls those back to reach
  * the snapshot before it replays the AOF suffix.
+ *
+ * The dataset is a flat index private to the store: a dense vector of
+ * entries (key, value, rewrite stamp) and a power-of-two array of
+ * open-addressed slots, each packing the key hash's top 32 bits with
+ * its entry's index + 1. Lookups probe linearly; a delete shifts the
+ * probe chain back and moves the last entry into the hole, so the
+ * entry order, the only order a scan sees, follows from the command
+ * sequence alone.
  */
 
 #ifndef BSSD_DB_MINIREDIS_MINIREDIS_HH
@@ -26,7 +34,8 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -60,9 +69,14 @@ class MiniRedis
     /** DEL key. */
     sim::Tick del(sim::Tick now, const std::string &key);
 
-    /** INCR key (numeric string value). */
+    /**
+     * INCR key. A missing key counts from 0. When the stored value is
+     * not wholly a decimal int64, or the increment would overflow, the
+     * command fails as Redis's does: it charges command CPU only,
+     * leaves the key and the AOF alone, and sets @p result empty.
+     */
     sim::Tick incr(sim::Tick now, const std::string &key,
-                   std::int64_t *result = nullptr);
+                   std::optional<std::int64_t> *result = nullptr);
 
     /** GET key. */
     sim::Tick get(sim::Tick now, const std::string &key,
@@ -73,8 +87,8 @@ class MiniRedis
     void recover();
 
     /** @name Introspection @{ */
-    std::size_t keys() const { return store_.size(); }
-    bool exists(const std::string &k) const { return store_.contains(k); }
+    std::size_t keys() const { return entries_.size(); }
+    bool exists(const std::string &k) const { return find(k) != nullptr; }
     std::uint64_t aofRewrites() const { return rewrites_.value(); }
     std::uint64_t commandsProcessed() const { return commands_.value(); }
 
@@ -89,10 +103,8 @@ class MiniRedis
 
     /**
      * Visit every live (key, value) pair in sorted key order - the
-     * deterministic store iterator the cluster's range-move copy path
-     * walks (a shard being drained streams its moving keys out through
-     * this). Sorting first keeps the hash map's bucket layout out of
-     * every output, same audit rule as contentHash().
+     * store iterator the cluster's range-move copy path walks (a shard
+     * being drained streams its moving keys out through this).
      */
     void forEachSorted(
         const std::function<void(const std::string &,
@@ -100,7 +112,8 @@ class MiniRedis
         const;
 
     /**
-     * Visit every live (key, value) pair exactly once, in hash-map
+     * Visit every live (key, value) pair exactly once, in entry order:
+     * a function of the command sequence, but not of the keys' sort
      * order. Only for scans whose result does not depend on the order
      * (the cluster's consistency check); anything that can reach an
      * output walks forEachSorted() instead.
@@ -112,10 +125,11 @@ class MiniRedis
     /** @} */
 
   private:
-    /** A live value, stamped with the last rewrite generation whose
-     *  undo log already holds the key's pre-image. */
+    /** A live key and value, stamped with the last rewrite generation
+     *  whose undo log already holds the key's pre-image. */
     struct Entry
     {
+        std::string key;
         std::vector<std::uint8_t> value;
         std::uint64_t logged = 0;
     };
@@ -130,13 +144,22 @@ class MiniRedis
 
     wal::LogDevice &aof_;
     RedisConfig cfg_;
-    // Audited (DESIGN.md section 11): GET/SET/DEL address the store by
-    // key, the AOF rewrite and recovery go through the undo log in
-    // change order, contentHash() and forEachSorted() sort before
-    // visiting, and forEachUnordered() feeds only order-insensitive
-    // checks, so hash order never reaches any output.
-    // bssd-lint: allow(det-unordered-member) keyed access; iteration sorts first or is order-insensitive
-    std::unordered_map<std::string, Entry> store_;
+    // Audited (DESIGN.md section 11): the slot layout depends on the
+    // key hash, but nothing iterates the slots. Scans walk entries_,
+    // whose order is set by the command sequence (appends, and the
+    // last entry moving into a deleted one's place); contentHash() and
+    // forEachSorted() sort it first, and forEachUnordered() feeds only
+    // order-insensitive checks.
+    /** The live dataset, densely packed in no key order. */
+    std::vector<Entry> entries_;
+    /** Open-addressed slots, a power of two of them, at most half
+     *  full: the key hash's top 32 bits, then entry index + 1 in the
+     *  low 32 bits; 0 is empty. A key's probe starts at the slot its
+     *  hash's top log2(slots) bits name. Empty until the first key. */
+    std::vector<std::uint64_t> slots_;
+    /** 64 - log2(slots_.size()): a hash's (or slot's) home is it
+     *  shifted right by this. */
+    unsigned slotShift_ = 64;
     std::uint64_t seq_ = 0;
     /** Pre-images of the keys changed since the last AOF rewrite, in
      *  change order: undone in reverse, they restore the dataset the
@@ -159,6 +182,26 @@ class MiniRedis
     /** @name Dataset changes, each undo-logged @{ */
     void put(const std::string &key, std::span<const std::uint8_t> value);
     void erase(const std::string &key);
+    /** @} */
+
+    /** @name The index (no undo logging) @{ */
+    static constexpr std::size_t noSlot = ~std::size_t(0);
+    /** The slot holding @p key (whose hash is @p hash), or the empty
+     *  slot that ends its probe. Needs at least one slot. */
+    std::size_t probe(std::string_view key, std::uint64_t hash) const;
+    /** The slot holding @p key, or noSlot. */
+    std::size_t slotOf(std::string_view key) const;
+    /** The entry @p slot points at. */
+    Entry &entryAt(std::size_t slot);
+    const Entry &entryAt(std::size_t slot) const;
+    const Entry *find(std::string_view key) const;
+    /** The entry of @p key, appended empty when absent; second is
+     *  whether it was. */
+    std::pair<Entry *, bool> emplace(const std::string &key);
+    /** Drop the entry @p slot points at. */
+    void removeAt(std::size_t slot);
+    /** Double the slot array (or create it) and re-place every slot. */
+    void grow();
     /** @} */
 };
 

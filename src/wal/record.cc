@@ -9,21 +9,30 @@ namespace bssd::wal
 namespace
 {
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/** Slice-by-8 tables: t[0] is the byte-at-a-time table, and t[k][b]
+ *  is the CRC of byte b followed by k zero bytes, so eight lookups,
+ *  one per byte of a 64-bit word, advance the CRC by the whole word. */
+constexpr CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables t{};
     constexpr std::uint32_t poly = 0x82f63b78; // CRC-32C, reflected
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? (poly ^ (c >> 1)) : (c >> 1);
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    }
+    return t;
 }
 
-const std::array<std::uint32_t, 256> crcTable = makeCrcTable();
+constexpr CrcTables crcTables = makeCrcTables();
 
 void
 put32(std::vector<std::uint8_t> &v, std::uint32_t x)
@@ -48,13 +57,18 @@ get32(std::span<const std::uint8_t> b, std::size_t off)
     return x;
 }
 
-std::uint64_t
+/** Little-endian u64 at @p off, spelled out from one pointer so that
+ *  GCC folds it into a single load on a little-endian host (a loop,
+ *  or indexing the span, stays eight byte loads at -O2); crc32c()
+ *  reads every word through this. */
+inline std::uint64_t
 get64(std::span<const std::uint8_t> b, std::size_t off)
 {
-    std::uint64_t x = 0;
-    for (int i = 0; i < 8; ++i)
-        x |= std::uint64_t(b[off + i]) << (8 * i);
-    return x;
+    const std::uint8_t *p = b.subspan(off, 8).data();
+    return std::uint64_t(p[0]) | std::uint64_t(p[1]) << 8 |
+           std::uint64_t(p[2]) << 16 | std::uint64_t(p[3]) << 24 |
+           std::uint64_t(p[4]) << 32 | std::uint64_t(p[5]) << 40 |
+           std::uint64_t(p[6]) << 48 | std::uint64_t(p[7]) << 56;
 }
 
 } // namespace
@@ -62,27 +76,35 @@ get64(std::span<const std::uint8_t> b, std::size_t off)
 std::uint32_t
 crc32c(std::span<const std::uint8_t> data)
 {
+    const auto &t = crcTables;
     std::uint32_t c = ~std::uint32_t(0);
-    for (std::uint8_t byte : data)
-        c = crcTable[(c ^ byte) & 0xff] ^ (c >> 8);
+    std::size_t i = 0;
+    for (; i + 8 <= data.size(); i += 8) {
+        const std::uint64_t w = get64(data, i) ^ c;
+        c = t[7][w & 0xff] ^ t[6][(w >> 8) & 0xff] ^
+            t[5][(w >> 16) & 0xff] ^ t[4][(w >> 24) & 0xff] ^
+            t[3][(w >> 32) & 0xff] ^ t[2][(w >> 40) & 0xff] ^
+            t[1][(w >> 48) & 0xff] ^ t[0][w >> 56];
+    }
+    for (; i < data.size(); ++i)
+        c = t[0][(c ^ data[i]) & 0xff] ^ (c >> 8);
     return ~c;
 }
 
 std::vector<std::uint8_t>
 frameRecord(std::uint64_t seq, std::span<const std::uint8_t> payload)
 {
-    // CRC covers sequence + payload.
-    std::vector<std::uint8_t> body;
-    body.reserve(8 + payload.size());
-    put64(body, seq);
-    body.insert(body.end(), payload.begin(), payload.end());
-    std::uint32_t crc = crc32c(body);
-
     std::vector<std::uint8_t> frame;
     frame.reserve(recordHeaderBytes + payload.size());
     put32(frame, static_cast<std::uint32_t>(payload.size()));
-    put32(frame, crc);
-    frame.insert(frame.end(), body.begin(), body.end());
+    put32(frame, 0); // the CRC, patched in below
+    put64(frame, seq);
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    // CRC covers sequence + payload.
+    const std::uint32_t crc =
+        crc32c(std::span<const std::uint8_t>(frame).subspan(8));
+    for (int i = 0; i < 4; ++i)
+        frame[4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
     return frame;
 }
 

@@ -19,7 +19,7 @@
 namespace bssd::wal
 {
 
-/** CRC32 (Castagnoli polynomial), bit-reflected, table-driven. */
+/** CRC32 (Castagnoli polynomial), bit-reflected, slice-by-8 tables. */
 std::uint32_t crc32c(std::span<const std::uint8_t> data);
 
 /** A parsed, validated log record. */

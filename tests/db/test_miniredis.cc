@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -121,7 +122,7 @@ TEST(MiniRedis, IncrSequence)
     wal::BlockWal aof(dev, tinyAof());
     MiniRedis r(aof);
     sim::Tick t = 0;
-    std::int64_t v = 0;
+    std::optional<std::int64_t> v;
     for (int i = 1; i <= 5; ++i) {
         t = r.incr(t, "counter", &v);
         EXPECT_EQ(v, i);
@@ -130,6 +131,55 @@ TEST(MiniRedis, IncrSequence)
     r.get(t, "counter", &out);
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(*out, val("5"));
+}
+
+TEST(MiniRedis, IncrRejectsNonIntegers)
+{
+    // Redis answers INCR on a value that is not wholly a decimal int64,
+    // or whose increment would overflow, with an error: the key keeps
+    // its value, the AOF gets nothing, and the command costs what a
+    // GET of the key costs.
+    ssd::SsdDevice dev(ssd::SsdConfig::tiny());
+    wal::BlockWal aof(dev, tinyAof());
+    MiniRedis r(aof);
+    const std::vector<std::string> bad = {"12abc", "abc", "",
+                                          "9223372036854775807"};
+    sim::Tick t = 0;
+    for (std::size_t i = 0; i < bad.size(); ++i)
+        t = r.set(t, "bad" + std::to_string(i), val(bad[i]));
+    t = r.set(t, "neg", val("-5"));
+    t = r.set(t, "edge", val("9223372036854775806"));
+
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        const std::string key = "bad" + std::to_string(i);
+        const std::uint64_t appended = aof.bytesAppended();
+        std::optional<std::int64_t> got = 0;
+        const sim::Tick done = r.incr(t, key, &got);
+        EXPECT_FALSE(got.has_value()) << '"' << bad[i] << '"';
+        EXPECT_EQ(done, r.get(t, key)) << '"' << bad[i] << '"';
+        EXPECT_EQ(aof.bytesAppended(), appended) << '"' << bad[i] << '"';
+        std::optional<std::vector<std::uint8_t>> out;
+        t = r.get(done, key, &out);
+        EXPECT_EQ(out, val(bad[i]));
+    }
+    std::optional<std::int64_t> got;
+    t = r.incr(t, "neg", &got);
+    EXPECT_EQ(got, -4);
+    t = r.incr(t, "edge", &got);
+    EXPECT_EQ(got, std::numeric_limits<std::int64_t>::max());
+
+    // Recovery replays the SETs and the two INCRs that succeeded.
+    aof.crash(t);
+    r.recover();
+    std::optional<std::vector<std::uint8_t>> out;
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        r.get(0, "bad" + std::to_string(i), &out);
+        EXPECT_EQ(out, val(bad[i]));
+    }
+    r.get(0, "neg", &out);
+    EXPECT_EQ(out, val("-4"));
+    r.get(0, "edge", &out);
+    EXPECT_EQ(out, val("9223372036854775807"));
 }
 
 TEST(MiniRedis, AofReplayRestoresDataset)
@@ -259,6 +309,112 @@ TEST(MiniRedis, SortedVisitFollowsStringViewOrder)
             << "visited twice: " << key;
     });
     EXPECT_EQ(seen, want);
+}
+
+TEST(MiniRedis, FlatIndexMatchesMapModel)
+{
+    // Seeded SET/DEL/GET over 4096 keys, 40 % DEL. For the first 4000
+    // commands at most 8 keys are live, which the first 16 slots hold
+    // at up to half load, so probe chains often run across the slot
+    // array's end; after that the index grows past 4096 slots. Deletes
+    // shift probe chains back and move the last entry into the hole.
+    // Every command is checked against a std::map model; a second
+    // store fed the same commands must scan its entries in the same
+    // order.
+    constexpr int commands = 24000;
+    constexpr int churn = 4000;
+    constexpr std::size_t churnKeys = 8;
+    constexpr std::uint64_t keySpace = 4096;
+    ssd::SsdDevice devA(ssd::SsdConfig::tiny()), devB(ssd::SsdConfig::tiny());
+    wal::BlockWal aofA(devA, tinyAof()), aofB(devB, tinyAof());
+    MiniRedis a(aofA), b(aofB);
+    Dataset model;
+    sim::Rng rng(41);
+    sim::Tick ta = 0, tb = 0;
+    std::size_t maxKeys = 0;
+
+    auto keysInEntryOrder = [](const MiniRedis &r) {
+        std::vector<std::string> keys;
+        r.forEachUnordered([&](const std::string &key,
+                               std::span<const std::uint8_t>) {
+            keys.push_back(key);
+        });
+        return keys;
+    };
+
+    for (int i = 1; i <= commands; ++i) {
+        const double roll = rng.nextDouble();
+        const bool del = roll < 0.4;
+        const bool set = !del && roll < 0.9;
+        // Every third key is too long for the string's inline buffer.
+        const std::uint64_t k = rng.nextBelow(keySpace);
+        std::string key =
+            "key" + std::to_string(k) + (k % 3 == 0 ? "-long-key-text" : "");
+        // The churn deletes live keys, and overwrites one once 8 are.
+        if (i <= churn && !model.empty() &&
+            (del || (set && model.size() == churnKeys))) {
+            key = std::next(model.begin(),
+                            static_cast<std::ptrdiff_t>(
+                                rng.nextBelow(model.size())))
+                      ->first;
+        }
+        if (del) {
+            ta = a.del(ta, key);
+            tb = b.del(tb, key);
+            model.erase(key);
+        } else if (set) {
+            std::vector<std::uint8_t> value(rng.nextBelow(41));
+            for (auto &byte : value)
+                byte = static_cast<std::uint8_t>(rng.next());
+            ta = a.set(ta, key, value);
+            tb = b.set(tb, key, value);
+            model[key] = value;
+        }
+        maxKeys = std::max(maxKeys, model.size());
+
+        ASSERT_EQ(a.keys(), model.size()) << "command " << i;
+        const auto want = model.find(key);
+        ASSERT_EQ(a.exists(key), want != model.end()) << key;
+        std::optional<std::vector<std::uint8_t>> got;
+        ta = a.get(ta, key, &got);
+        if (want == model.end())
+            ASSERT_FALSE(got.has_value()) << key;
+        else
+            ASSERT_EQ(got, want->second) << key;
+
+        if (i % 1000 != 0)
+            continue;
+        for (const auto &[live, value] : model) {
+            ta = a.get(ta, live, &got);
+            ASSERT_EQ(got, value) << live << " at command " << i;
+        }
+        ASSERT_EQ(a.contentHash(), hashOf(model)) << "command " << i;
+        Dataset seen;
+        a.forEachUnordered([&](const std::string &visited,
+                               std::span<const std::uint8_t> value) {
+            EXPECT_TRUE(seen.emplace(visited, std::vector<std::uint8_t>(
+                                                  value.begin(),
+                                                  value.end()))
+                            .second)
+                << "visited twice: " << visited;
+        });
+        ASSERT_EQ(seen, model) << "command " << i;
+        ASSERT_EQ(keysInEntryOrder(a), keysInEntryOrder(b))
+            << "command " << i;
+    }
+    // More than 2048 live keys: the slots, doubled whenever more than
+    // half full, went 16 -> 8192 at least.
+    EXPECT_GT(maxKeys, 2048u);
+
+    aofA.crash(ta);
+    a.recover();
+    ASSERT_EQ(a.keys(), model.size());
+    for (const auto &[key, value] : model) {
+        std::optional<std::vector<std::uint8_t>> got;
+        a.get(0, key, &got);
+        ASSERT_EQ(got, value) << key;
+    }
+    EXPECT_EQ(a.contentHash(), hashOf(model));
 }
 
 namespace
@@ -466,7 +622,7 @@ TEST(MiniRedis, UndoLogRecoveryMatchesAcknowledgedCommands)
             if (!after) {
                 t = r.del(t, key);
             } else if (k >= 24 && roll < 0.6) {
-                std::int64_t got = 0;
+                std::optional<std::int64_t> got;
                 t = r.incr(t, key, &got);
                 EXPECT_EQ(got, counter);
             } else {
