@@ -165,7 +165,7 @@ runClusterCell(ClusterConfig cfg)
                         ? static_cast<double>(res.opsCompleted) /
                               sim::toSec(res.horizon)
                         : 0.0;
-    rec.meanUs = sim::toUs(res.batchP50);
+    rec.meanUs = res.batchMean / 1e3;
     rec.p99Us = sim::toUs(res.batchP99);
     rec.wallMs = ms;
     rec.eventsPerSec =

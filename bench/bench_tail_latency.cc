@@ -50,7 +50,7 @@ constexpr std::size_t kPayload = 300;
 void
 measure(const char *name, wal::LogDevice &wal)
 {
-    sim::Distribution lat("commit");
+    sim::Histogram lat("commit");
     std::vector<std::uint8_t> p(kPayload, 0x7a);
     sim::Tick t = sim::msOf(10);
     for (int i = 0; i < kOps; ++i) {
@@ -58,7 +58,7 @@ measure(const char *name, wal::LogDevice &wal)
         sim::Tick t0 = t;
         t = wal.append(t, frame);
         t = wal.commit(t);
-        lat.sample(t - t0);
+        lat.record(t - t0);
     }
     std::printf("%-12s %10.2f %10.2f %10.2f\n", name, lat.mean() / 1e3,
                 static_cast<double>(lat.percentile(99)) / 1e3,
@@ -97,7 +97,7 @@ gcAblationConfig(bool background)
 
 struct GcCell
 {
-    sim::Distribution lat{"write", 65536};
+    sim::Histogram lat{"write"};
     std::uint64_t gcSteps = 0;
     std::uint64_t gcPauses = 0;
     double waf = 0.0;
@@ -115,7 +115,7 @@ runGcCell(bool background)
         std::uint64_t lpn = rng.nextBelow(kGcSpanPages);
         std::memset(page.data(), static_cast<int>(i & 0xff), page.size());
         auto iv = dev.blockWrite(t, lpn * 4096, page);
-        cell.lat.sample(iv.end - t);
+        cell.lat.record(iv.end - t);
         t = iv.end + kGcThink;
     }
     cell.gcSteps = dev.ftl().gcBackgroundSteps();

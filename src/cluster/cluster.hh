@@ -322,7 +322,8 @@ struct ClusterResult
     std::uint64_t messages = 0;
     /** Simulated time the run needed to drain (ticks). */
     sim::Tick horizon = 0;
-    /** Host-observed batch latency percentiles (ticks). */
+    /** Host-observed batch latency (ticks): exact mean, p50, p99. */
+    double batchMean = 0.0;
     std::uint64_t batchP50 = 0;
     std::uint64_t batchP99 = 0;
     /** Host-observed per-op latency percentiles (ticks). */

@@ -276,7 +276,7 @@ ShardRouter::dispatchOn(unsigned shard, std::size_t qp,
                          opsCompleted_ += count;
                          ++batchesCompleted_;
                          --outstanding_[shard];
-                         latency_.sample(done - offered);
+                         latency_.record(done - offered);
                          for (sim::Tick l : lat) {
                              opLatency_.record(l);
                              recordLatency(shard, l);

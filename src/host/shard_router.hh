@@ -229,9 +229,8 @@ class ShardRouter
     std::uint64_t batchesCompleted() const { return batchesCompleted_; }
     std::uint64_t cyclesDone() const { return cyclesDone_; }
     /** Host-observed dispatch→completion latency per batch. */
-    const sim::Distribution &batchLatency() const { return latency_; }
-    /** Host-observed per-operation latency (deterministic histogram:
-     *  p99/p99.9 with bounded relative error, no reservoir RNG). */
+    const sim::Histogram &batchLatency() const { return latency_; }
+    /** Host-observed per-operation latency. */
     const sim::Histogram &opLatency() const { return opLatency_; }
     /** Distinct keys ("simulated users") the run touched. */
     std::uint64_t usersTouched() const { return usersTouched_; }
@@ -291,7 +290,7 @@ class ShardRouter
     std::uint64_t opsCompleted_ = 0;
     std::uint64_t batchesDispatched_ = 0;
     std::uint64_t batchesCompleted_ = 0;
-    sim::Distribution latency_{"batch-latency-ns"};
+    sim::Histogram latency_{"batch-latency-ns"};
     sim::Histogram opLatency_{"op-latency-ns"};
     std::vector<bool> touched_;
     std::uint64_t usersTouched_ = 0;

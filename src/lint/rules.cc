@@ -474,8 +474,7 @@ findClassDecls(const LexedFile &f, const ScopeInfo &scopes)
 bool
 isMetricAdder(const std::string &s)
 {
-    return s == "addCounter" || s == "addDistribution" ||
-           s == "addHistogram" || s == "addGauge";
+    return s == "addCounter" || s == "addHistogram" || s == "addGauge";
 }
 
 std::vector<MetricSite>

@@ -20,40 +20,21 @@ MetricValue::mean() const
 std::uint64_t
 MetricValue::percentile(double p) const
 {
-    if (kind == Kind::dist) {
-        if (samples.empty())
-            return 0;
-        if (p <= 0.0)
-            return min;
-        if (p >= 100.0)
-            return max;
-        std::vector<std::uint64_t> sorted(samples);
-        std::sort(sorted.begin(), sorted.end());
-        double rank =
-            p / 100.0 * static_cast<double>(sorted.size() - 1);
-        auto idx = static_cast<std::size_t>(std::llround(rank));
-        return sorted[std::min(idx, sorted.size() - 1)];
-    }
-    if (kind == Kind::hist) {
-        if (count == 0)
-            return 0;
-        if (p <= 0.0)
-            return min;
-        if (p >= 100.0)
-            return max;
-        const auto target = static_cast<std::uint64_t>(
-            std::llround(p / 100.0 * static_cast<double>(count - 1)));
-        std::uint64_t cum = 0;
-        for (const auto &[index, n] : buckets) {
-            cum += n;
-            if (cum > target) {
-                return std::clamp(Histogram::bucketMid(index), min,
-                                  max);
-            }
-        }
+    if (kind != Kind::hist || count == 0)
+        return 0;
+    if (p <= 0.0)
+        return min;
+    if (p >= 100.0)
         return max;
+    const auto target = static_cast<std::uint64_t>(
+        std::llround(p / 100.0 * static_cast<double>(count - 1)));
+    std::uint64_t cum = 0;
+    for (const auto &[index, n] : buckets) {
+        cum += n;
+        if (cum > target)
+            return std::clamp(Histogram::bucketMid(index), min, max);
     }
-    return 0;
+    return max;
 }
 
 const MetricValue *
@@ -76,26 +57,6 @@ mergeValue(MetricValue &into, const MetricValue &from)
       case MetricValue::Kind::gauge:
         into.value += from.value;
         return;
-      case MetricValue::Kind::dist: {
-        const bool was_empty = into.count == 0;
-        into.count += from.count;
-        into.sum += from.sum;
-        if (from.count > 0) {
-            into.min = was_empty ? from.min
-                                 : std::min(into.min, from.min);
-            into.max = std::max(into.max, from.max);
-        }
-        // Reservoirs concatenate up to the default retained cap:
-        // order-dependent but deterministic for a fixed merge order,
-        // which is all the sweep coordinator needs.
-        constexpr std::size_t cap = 16384;
-        for (std::uint64_t s : from.samples) {
-            if (into.samples.size() >= cap)
-                break;
-            into.samples.push_back(s);
-        }
-        return;
-      }
       case MetricValue::Kind::hist: {
         const bool was_empty = into.count == 0;
         into.count += from.count;
@@ -180,11 +141,9 @@ MetricsSnapshot::writeJson(std::ostream &os, int indent) const
           case MetricValue::Kind::gauge:
             os << "{\"type\": \"gauge\", \"value\": " << v.value << "}";
             break;
-          case MetricValue::Kind::dist:
           case MetricValue::Kind::hist:
-            os << "{\"type\": \""
-               << (v.kind == MetricValue::Kind::dist ? "dist" : "hist")
-               << "\", \"count\": " << v.count << ", \"sum\": " << v.sum
+            os << "{\"type\": \"hist\", \"count\": " << v.count
+               << ", \"sum\": " << v.sum
                << ", \"min\": " << v.min << ", \"max\": " << v.max
                << ", \"mean\": " << v.mean()
                << ", \"p50\": " << v.percentile(50)
@@ -213,16 +172,6 @@ MetricRegistry::addCounter(const std::string &path, const Counter &c)
     Entry e;
     e.kind = MetricValue::Kind::counter;
     e.counter = &c;
-    insert(path, std::move(e));
-}
-
-void
-MetricRegistry::addDistribution(const std::string &path,
-                                const Distribution &d)
-{
-    Entry e;
-    e.kind = MetricValue::Kind::dist;
-    e.dist = &d;
     insert(path, std::move(e));
 }
 
@@ -294,13 +243,6 @@ MetricRegistry::snapshot() const
             break;
           case MetricValue::Kind::gauge:
             v.value = e.gauge ? e.gauge() : 0.0;
-            break;
-          case MetricValue::Kind::dist:
-            v.count = e.dist->count();
-            v.sum = e.dist->sum();
-            v.min = e.dist->min();
-            v.max = e.dist->max();
-            v.samples = e.dist->samples();
             break;
           case MetricValue::Kind::hist:
             v.count = e.hist->count();

@@ -2,10 +2,10 @@
  * @file
  * Hierarchical metric registry (DESIGN.md section 9).
  *
- * Components own their Counters/Distributions/Histograms exactly as
- * before; a MetricRegistry attaches non-owning references to them
- * under dotted hierarchical paths ("ssd0.ftl.gc.pages_moved") so one
- * object can enumerate, snapshot and export every statistic of a rig.
+ * Components own their Counters/Histograms exactly as before; a
+ * MetricRegistry attaches non-owning references to them under dotted
+ * hierarchical paths ("ssd0.ftl.gc.pages_moved") so one object can
+ * enumerate, snapshot and export every statistic of a rig.
  * Gauges - instantaneous values derived from component state (free
  * blocks, WC dirty lines, BA-buffer occupancy) - are registered as
  * callbacks and evaluated at snapshot/sample time.
@@ -61,32 +61,31 @@ class Gauge
 /** One metric's detached snapshot row. */
 struct MetricValue
 {
-    enum class Kind : std::uint8_t { counter, gauge, dist, hist };
+    // `dist` is an alias of `hist` only because perfbench still names
+    // it; the next change to the benchmark deletes both.
+    enum class Kind : std::uint8_t { counter, gauge, hist, dist = hist };
 
     Kind kind = Kind::counter;
 
     /** counter/gauge value (counters: exact integer in the double). */
     double value = 0.0;
 
-    /** @name dist/hist summary @{ */
+    /** @name hist summary @{ */
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
     std::uint64_t min = 0;
     std::uint64_t max = 0;
     /** @} */
 
-    /** dist: retained reservoir samples (percentiles after merge). */
-    std::vector<std::uint64_t> samples;
     /** hist: sparse (bucketIndex, count) pairs, index-ascending. */
     std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
 
     double mean() const;
 
     /**
-     * p-th percentile (p in [0, 100]) over the retained detail:
-     * exact nearest-rank over `samples` for distributions, bucket
-     * midpoints clamped to [min, max] for histograms. @return 0 for
-     * counters/gauges or when empty.
+     * p-th percentile (p in [0, 100]) of a histogram row: the
+     * midpoint of the bucket holding the nearest-rank sample, clamped
+     * to [min, max]. @return 0 for counters/gauges or when empty.
      */
     std::uint64_t percentile(double p) const;
 };
@@ -105,17 +104,16 @@ class MetricsSnapshot
 
     /**
      * Fold @p other into this snapshot: counters and gauges add,
-     * histograms add bucket-wise (exact), distribution summaries add
-     * exactly while reservoirs concatenate up to the retained cap.
-     * Paths present in only one side are kept as-is. Merging in a
-     * fixed order (sweep job order) yields a deterministic result.
+     * histograms add bucket-wise (exact). Paths present in only one
+     * side are kept as-is. Merging in a fixed order (sweep job order)
+     * yields a deterministic result.
      * @throws SimPanic when the same path has different kinds.
      */
     void merge(const MetricsSnapshot &other);
 
     /**
      * Emit `{"path": {...}, ...}` with stable field order; counters
-     * and gauges are scalar, dist/hist rows carry count/sum/min/max,
+     * and gauges are scalar, histogram rows carry count/sum/min/max,
      * mean and p50/p99/p999.
      */
     void writeJson(std::ostream &os, int indent = 0) const;
@@ -131,7 +129,6 @@ class MetricRegistry
   public:
     /** @name Registration (duplicate paths panic) @{ */
     void addCounter(const std::string &path, const Counter &c);
-    void addDistribution(const std::string &path, const Distribution &d);
     void addHistogram(const std::string &path, const Histogram &h);
     void addGauge(const std::string &path, Gauge::Fn fn);
     /** @} */
@@ -159,7 +156,6 @@ class MetricRegistry
     {
         MetricValue::Kind kind = MetricValue::Kind::counter;
         const Counter *counter = nullptr;
-        const Distribution *dist = nullptr;
         const Histogram *hist = nullptr;
         Gauge::Fn gauge;
     };

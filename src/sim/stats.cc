@@ -4,112 +4,8 @@
 #include <bit>
 #include <cmath>
 
-#include "sim/logging.hh"
-
 namespace bssd::sim
 {
-
-Distribution::Distribution(std::string name, std::size_t reservoirSize)
-    : name_(std::move(name)), cap_(reservoirSize), rng_(0xd157 + cap_)
-{
-    if (cap_ == 0)
-        fatal("Distribution reservoir must hold at least one sample");
-    reservoir_.reserve(cap_);
-}
-
-void
-Distribution::sample(std::uint64_t v)
-{
-    ++count_;
-    sum_ += v;
-    if (v < min_)
-        min_ = v;
-    if (v > max_)
-        max_ = v;
-    if (reservoir_.size() < cap_) {
-        reservoir_.push_back(v);
-        sortedValid_ = false;
-        return;
-    }
-    // Algorithm R: replace a random slot with probability cap/count.
-    // Only a sample that actually lands in the reservoir invalidates
-    // the sorted cache — for long runs that is a vanishing fraction,
-    // so percentile() stays cheap even interleaved with sampling.
-    std::uint64_t j = rng_.nextBelow(count_);
-    if (j < cap_) {
-        reservoir_[static_cast<std::size_t>(j)] = v;
-        sortedValid_ = false;
-    }
-}
-
-double
-Distribution::mean() const
-{
-    return count_ == 0
-        ? 0.0
-        : static_cast<double>(sum_) / static_cast<double>(count_);
-}
-
-std::uint64_t
-Distribution::percentile(double p) const
-{
-    if (reservoir_.empty())
-        return 0;
-    if (p <= 0.0)
-        return min();
-    if (p >= 100.0)
-        return max();
-    if (!sortedValid_) {
-        sorted_ = reservoir_;
-        std::sort(sorted_.begin(), sorted_.end());
-        sortedValid_ = true;
-    }
-    double rank = p / 100.0 * static_cast<double>(sorted_.size() - 1);
-    auto idx = static_cast<std::size_t>(std::llround(rank));
-    return sorted_[std::min(idx, sorted_.size() - 1)];
-}
-
-void
-Distribution::merge(const Distribution &other)
-{
-    // Exact statistics add exactly; the retained samples run through
-    // the same algorithm-R stream this instance uses for sample(), so
-    // the result depends only on the merge order (deterministic for
-    // the sweep coordinator's fixed job order).
-    for (std::uint64_t v : other.reservoir_) {
-        if (reservoir_.size() < cap_) {
-            reservoir_.push_back(v);
-            sortedValid_ = false;
-            continue;
-        }
-        std::uint64_t j = rng_.nextBelow(count_ + 1);
-        if (j < cap_) {
-            reservoir_[static_cast<std::size_t>(j)] = v;
-            sortedValid_ = false;
-        }
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-    if (other.count_ > 0) {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-}
-
-void
-Distribution::reset()
-{
-    reservoir_.clear();
-    sorted_.clear();
-    sortedValid_ = false;
-    // Re-seed so a reset instance replays the exact slot choices of a
-    // fresh one - reset-and-rerun stays bit-identical to a new run.
-    rng_ = Rng(0xd157 + cap_);
-    count_ = 0;
-    sum_ = 0;
-    min_ = ~std::uint64_t(0);
-    max_ = 0;
-}
 
 Histogram::Histogram(std::string name) : name_(std::move(name)) {}
 

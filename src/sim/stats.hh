@@ -1,14 +1,14 @@
 /**
  * @file
- * Lightweight statistics: counters, latency distributions and a
- * fixed-footprint histogram for hot paths.
+ * Lightweight statistics: counters and the one latency recorder, a
+ * fixed-footprint log-linear histogram.
  *
  * Every experiment in the benchmark harness reports through these.
- * Distribution keeps exact min/max/mean plus a bounded reservoir for
- * percentile queries, so memory stays constant no matter how many
- * samples a run records. Histogram trades a bounded relative error
- * for a record() that is a handful of bit operations — the right tool
- * for per-I/O instrumentation inside the device models.
+ * Histogram keeps exact count/sum/min/max/mean and answers percentiles
+ * from its buckets with a relative error of at most 1/64, so memory
+ * stays constant no matter how many samples a run records, record() is
+ * a handful of bit operations, and the answer is a pure function of
+ * the recorded values (no sampling, no RNG).
  */
 
 #ifndef BSSD_SIM_STATS_HH
@@ -17,9 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "sim/rng.hh"
 #include "sim/ticks.hh"
 
 namespace bssd::sim
@@ -41,80 +39,6 @@ class Counter
   private:
     std::string name_;
     std::uint64_t value_ = 0;
-};
-
-/**
- * Streaming distribution with percentile support.
- *
- * Uses reservoir sampling (Vitter's algorithm R) with a fixed-size
- * reservoir; exact statistics (count/sum/min/max) are always precise,
- * percentiles are estimates over the reservoir.
- *
- * percentile() caches the sorted reservoir; once the reservoir is full
- * most samples do not displace a slot, so the cache survives across
- * interleaved sample()/percentile() calls and repeated percentile
- * queries cost one binary-search-free lookup instead of a sort.
- */
-class Distribution
-{
-  public:
-    /**
-     * @param name          for reporting
-     * @param reservoirSize number of retained samples for percentiles
-     */
-    explicit Distribution(std::string name = "dist",
-                          std::size_t reservoirSize = 16384);
-
-    /** Record one sample. */
-    void sample(std::uint64_t v);
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t sum() const { return sum_; }
-    std::uint64_t min() const { return count_ ? min_ : 0; }
-    std::uint64_t max() const { return max_; }
-    double mean() const;
-
-    /**
-     * Estimated p-th percentile (p in [0, 100]; out-of-range values
-     * clamp to the min/max).
-     * @return 0 when no samples were recorded.
-     */
-    std::uint64_t percentile(double p) const;
-
-    /**
-     * Fold @p other into this distribution. Exact statistics
-     * (count/sum/min/max) add exactly; the reservoir absorbs the
-     * other side's retained samples through the same algorithm-R
-     * stream, so the result is deterministic for a fixed merge order.
-     * Invalidates the cached sorted reservoir.
-     */
-    void merge(const Distribution &other);
-
-    /** Retained reservoir samples (registry snapshots, tests). */
-    const std::vector<std::uint64_t> &samples() const
-    {
-        return reservoir_;
-    }
-
-    /**
-     * Forget all samples: empties the reservoir, invalidates the
-     * cached sorted copy and restores the min/max sentinels, so a
-     * reused instance is indistinguishable from a fresh one.
-     */
-    void reset();
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::size_t cap_;
-    std::vector<std::uint64_t> reservoir_;
-    mutable std::vector<std::uint64_t> sorted_;
-    mutable bool sortedValid_ = false;
-    Rng rng_;
-    std::uint64_t count_ = 0;
-    std::uint64_t sum_ = 0;
-    std::uint64_t min_ = ~std::uint64_t(0);
-    std::uint64_t max_ = 0;
 };
 
 /**

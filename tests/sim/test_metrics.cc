@@ -15,6 +15,7 @@
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/report.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 
 using namespace bssd::sim;
@@ -22,14 +23,13 @@ using namespace bssd::sim;
 TEST(MetricRegistry, RegistersEveryKind)
 {
     Counter c("c");
-    Distribution d("d", 64);
-    Histogram h("h");
+    Histogram lat("lat"), pause("pause");
     double gaugeState = 3.5;
 
     MetricRegistry reg;
     reg.addCounter("ssd0.writes", c);
-    reg.addDistribution("ssd0.write_lat", d);
-    reg.addHistogram("ssd0.ftl.gc.pause", h);
+    reg.addHistogram("ssd0.write_lat", lat);
+    reg.addHistogram("ssd0.ftl.gc.pause", pause);
     reg.addGauge("ssd0.ftl.waf", [&] { return gaugeState; });
 
     EXPECT_EQ(reg.size(), 4u);
@@ -133,27 +133,6 @@ TEST(MetricsSnapshot, MergeHistogramsBucketWise)
     EXPECT_GE(v->percentile(99.0), 900u);
 }
 
-TEST(MetricsSnapshot, MergeDistributionsKeepsExactStats)
-{
-    Distribution d1("d", 64), d2("d", 64);
-    d1.sample(1);
-    d1.sample(3);
-    d2.sample(100);
-    MetricRegistry r1, r2;
-    r1.addDistribution("rig.lat", d1);
-    r2.addDistribution("rig.lat", d2);
-
-    MetricsSnapshot merged = r1.snapshot();
-    merged.merge(r2.snapshot());
-    const MetricValue *v = merged.find("rig.lat");
-    ASSERT_NE(v, nullptr);
-    EXPECT_EQ(v->count, 3u);
-    EXPECT_EQ(v->sum, 104u);
-    EXPECT_EQ(v->min, 1u);
-    EXPECT_EQ(v->max, 100u);
-    EXPECT_EQ(v->samples.size(), 3u);
-}
-
 TEST(MetricsSnapshot, MergeKindMismatchPanics)
 {
     Counter c("c");
@@ -191,17 +170,16 @@ TEST(MetricsSnapshot, SweepWorkerMergeIsDeterministic)
         MetricsSnapshot acc;
         for (int w = 0; w < 4; ++w) {
             Counter c("c");
-            Distribution d("d", 32);
-            Histogram h("h");
+            Histogram lat("lat"), h("h");
             c.add(static_cast<std::uint64_t>(10 + w));
             Rng rng(500 + static_cast<std::uint64_t>(w));
             for (int i = 0; i < 200; ++i) {
-                d.sample(rng.nextBelow(100000));
+                lat.record(rng.nextBelow(100000));
                 h.record(rng.nextBelow(100000));
             }
             MetricRegistry reg;
             reg.addCounter("rig.ops", c);
-            reg.addDistribution("rig.lat", d);
+            reg.addHistogram("rig.lat", lat);
             reg.addHistogram("rig.hist", h);
             reg.addGauge("rig.free", [&] { return double(w); });
             acc.merge(reg.snapshot());
@@ -288,18 +266,18 @@ TEST(MetricsSnapshot, WriteJsonShape)
 {
     Counter c("c");
     c.add(3);
-    Distribution d("d", 16);
-    d.sample(5);
+    Histogram h("h");
+    h.record(5);
     MetricRegistry reg;
     reg.addCounter("a.ops", c);
-    reg.addDistribution("a.lat", d);
+    reg.addHistogram("a.lat", h);
 
     std::ostringstream os;
     reg.writeJson(os);
     const std::string json = os.str();
     EXPECT_NE(json.find("\"a.ops\""), std::string::npos);
     EXPECT_NE(json.find("\"type\": \"counter\""), std::string::npos);
-    EXPECT_NE(json.find("\"type\": \"dist\""), std::string::npos);
+    EXPECT_NE(json.find("\"type\": \"hist\""), std::string::npos);
     // Deterministic output: same registry, same bytes.
     std::ostringstream os2;
     reg.writeJson(os2);
