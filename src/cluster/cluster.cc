@@ -773,6 +773,13 @@ Cluster::shardItems(unsigned shard) const
     return sh.redis ? sh.redis->keys() : sh.pg->nodeCount();
 }
 
+std::uint64_t
+Cluster::shardCheckpoints(unsigned shard) const
+{
+    const Shard &sh = *shards_.at(shard);
+    return sh.redis ? sh.redis->aofRewrites() : sh.pg->checkpoints();
+}
+
 void
 Cluster::verifyConsistency() const
 {

@@ -224,6 +224,10 @@ class Cluster
     /** Live keys (redis) or nodes (pg) on one shard. */
     std::uint64_t shardItems(unsigned shard) const;
 
+    /** AOF rewrites (redis) or checkpoints (pg) one shard's store has
+     *  taken, each of which restarted its WAL. */
+    std::uint64_t shardCheckpoints(unsigned shard) const;
+
     /**
      * Structural consistency check over the whole fleet; panics on
      * violation. Verifies that every stored key lives on exactly the

@@ -56,32 +56,34 @@ get64(std::span<const std::uint8_t> b, std::size_t &pos)
     return x;
 }
 
-std::vector<std::uint8_t>
-encodeNode(XlogOp op, std::uint64_t id,
-           std::span<const std::uint8_t> payload)
+bool
+isNodeOp(XlogOp op)
 {
-    std::vector<std::uint8_t> v;
-    v.reserve(1 + 8 + 4 + payload.size());
-    v.push_back(static_cast<std::uint8_t>(op));
-    put64(v, id);
-    put32(v, static_cast<std::uint32_t>(payload.size()));
-    v.insert(v.end(), payload.begin(), payload.end());
-    return v;
+    return op == XlogOp::addNode || op == XlogOp::updateNode ||
+           op == XlogOp::deleteNode;
 }
 
-std::vector<std::uint8_t>
-encodeLink(XlogOp op, const LinkKey &key,
-           std::span<const std::uint8_t> payload)
+/** Body bytes encodeOp() appends. */
+std::size_t
+encodedSize(XlogOp op, std::size_t payload_bytes)
 {
-    std::vector<std::uint8_t> v;
-    v.reserve(1 + 8 + 4 + 8 + 4 + payload.size());
+    return (isNodeOp(op) ? 1 + 8 + 4 : 1 + 8 + 4 + 8 + 4) + payload_bytes;
+}
+
+/** Append the record body of one operation to @p v: the opcode, the
+ *  node id (key.id1) or the whole link key, then the payload. */
+void
+encodeOp(std::vector<std::uint8_t> &v, XlogOp op, const LinkKey &key,
+         std::span<const std::uint8_t> payload)
+{
     v.push_back(static_cast<std::uint8_t>(op));
     put64(v, key.id1);
-    put32(v, key.type);
-    put64(v, key.id2);
+    if (!isNodeOp(op)) {
+        put32(v, key.type);
+        put64(v, key.id2);
+    }
     put32(v, static_cast<std::uint32_t>(payload.size()));
     v.insert(v.end(), payload.begin(), payload.end());
-    return v;
 }
 
 } // namespace
@@ -107,12 +109,14 @@ MiniPg::maybeCheckpoint(sim::Tick now)
         return now;
     checkpoints_.add();
     // Buffer-pool writeback burst, then the log restarts. The durable
-    // state snapshot lives on the data device; the model keeps it
-    // implicitly (nodes_/links_ are the post-checkpoint image and the
-    // snapshot sequence marks where redo must resume).
+    // image is the store as of now (it lives on the data device in
+    // the model): the undo logs start over, and a new generation makes
+    // every node and link log its pre-image again on its next change.
     now += cfg_.checkpointCost;
-    snapshotNodes_ = nodes_;
-    snapshotLinks_ = links_;
+    nodeUndo_.clear();
+    linkUndo_.clear();
+    ++generation_;
+    checkpointed_ = true;
     snapshotSeq_ = seq_;
     log_.truncate(now);
     gc_.reset();
@@ -120,74 +124,147 @@ MiniPg::maybeCheckpoint(sim::Tick now)
 }
 
 sim::Tick
-MiniPg::logAndCommit(sim::Tick now,
-                     std::span<const std::uint8_t> xlog_payload)
+MiniPg::logAndCommit(sim::Tick now)
 {
-    auto frame = wal::frameRecord(seq_, xlog_payload);
+    wal::frameRecord(frame_, seq_, xlog_);
     ++seq_;
-    now = log_.append(now, frame);
+    now = log_.append(now, frame_);
     now = gc_.commit(now);
     commits_.add();
     return maybeCheckpoint(now);
+}
+
+void
+MiniPg::putNode(std::uint64_t id, std::span<const std::uint8_t> payload)
+{
+    auto [n, inserted] = nodes_.emplace(id);
+    if (checkpointed_ && inserted)
+        nodeUndo_.push_back({id, std::nullopt});
+    else if (checkpointed_ && n->logged != generation_)
+        nodeUndo_.push_back({id, std::move(n->value)});
+    n->logged = generation_;
+    n->value.assign(payload.begin(), payload.end());
+}
+
+void
+MiniPg::eraseNode(std::uint64_t id)
+{
+    const std::size_t slot = nodes_.slotOf(id);
+    if (slot == nodes_.noSlot)
+        return;
+    Node &n = nodes_.at(slot);
+    if (checkpointed_ && n.logged != generation_)
+        nodeUndo_.push_back({id, std::move(n.value)});
+    nodes_.removeAt(slot);
+}
+
+void
+MiniPg::putLink(const LinkKey &key, std::span<const std::uint8_t> payload)
+{
+    auto [it, inserted] = links_.try_emplace(key);
+    Link &l = it->second;
+    if (checkpointed_ && inserted)
+        linkUndo_.push_back({key, std::nullopt});
+    else if (checkpointed_ && l.logged != generation_)
+        linkUndo_.push_back({key, std::move(l.value)});
+    l.logged = generation_;
+    l.value.assign(payload.begin(), payload.end());
+}
+
+void
+MiniPg::eraseLink(const LinkKey &key)
+{
+    auto it = links_.find(key);
+    if (it == links_.end())
+        return;
+    if (checkpointed_ && it->second.logged != generation_)
+        linkUndo_.push_back({key, std::move(it->second.value)});
+    links_.erase(it);
+}
+
+void
+MiniPg::applyOp(std::uint8_t code, const LinkKey &key,
+                std::span<const std::uint8_t> payload)
+{
+    switch (static_cast<XlogOp>(code)) {
+      case XlogOp::addNode:
+      case XlogOp::updateNode:
+        putNode(key.id1, payload);
+        break;
+      case XlogOp::deleteNode:
+        eraseNode(key.id1);
+        break;
+      case XlogOp::addLink:
+        putLink(key, payload);
+        break;
+      case XlogOp::deleteLink:
+        eraseLink(key);
+        break;
+      default:
+        sim::panic("minipg: unknown XLOG opcode ", static_cast<int>(code));
+    }
+}
+
+sim::Tick
+MiniPg::commitOp(sim::Tick now, std::uint8_t code, const LinkKey &key,
+                 std::span<const std::uint8_t> payload)
+{
+    applyOp(code, key, payload);
+    xlog_.clear();
+    encodeOp(xlog_, static_cast<XlogOp>(code), key, payload);
+    return logAndCommit(now);
 }
 
 sim::Tick
 MiniPg::addNode(sim::Tick now, std::uint64_t id,
                 std::span<const std::uint8_t> payload)
 {
-    now = cpu(now, payload.size());
-    auto xlog = encodeNode(XlogOp::addNode, id, payload);
-    apply(xlog);
-    return logAndCommit(now, xlog);
+    return commitOp(cpu(now, payload.size()),
+                    static_cast<std::uint8_t>(XlogOp::addNode), {id, 0, 0},
+                    payload);
 }
 
 sim::Tick
 MiniPg::updateNode(sim::Tick now, std::uint64_t id,
                    std::span<const std::uint8_t> payload)
 {
-    now = cpu(now, payload.size());
-    auto xlog = encodeNode(XlogOp::updateNode, id, payload);
-    apply(xlog);
-    return logAndCommit(now, xlog);
+    return commitOp(cpu(now, payload.size()),
+                    static_cast<std::uint8_t>(XlogOp::updateNode),
+                    {id, 0, 0}, payload);
 }
 
 sim::Tick
 MiniPg::deleteNode(sim::Tick now, std::uint64_t id)
 {
-    now = cpu(now, 0);
-    auto xlog = encodeNode(XlogOp::deleteNode, id, {});
-    apply(xlog);
-    return logAndCommit(now, xlog);
+    return commitOp(cpu(now, 0),
+                    static_cast<std::uint8_t>(XlogOp::deleteNode),
+                    {id, 0, 0}, {});
 }
 
 sim::Tick
 MiniPg::getNode(sim::Tick now, std::uint64_t id,
                 std::vector<std::uint8_t> *out) const
 {
-    auto it = nodes_.find(id);
-    std::size_t bytes = it == nodes_.end() ? 0 : it->second.size();
-    if (out && it != nodes_.end())
-        *out = it->second;
-    return cpu(now, bytes);
+    const Node *n = nodes_.find(id);
+    if (out && n)
+        *out = n->value;
+    return cpu(now, n ? n->value.size() : 0);
 }
 
 sim::Tick
 MiniPg::addLink(sim::Tick now, const LinkKey &key,
                 std::span<const std::uint8_t> payload)
 {
-    now = cpu(now, payload.size());
-    auto xlog = encodeLink(XlogOp::addLink, key, payload);
-    apply(xlog);
-    return logAndCommit(now, xlog);
+    return commitOp(cpu(now, payload.size()),
+                    static_cast<std::uint8_t>(XlogOp::addLink), key,
+                    payload);
 }
 
 sim::Tick
 MiniPg::deleteLink(sim::Tick now, const LinkKey &key)
 {
-    now = cpu(now, 0);
-    auto xlog = encodeLink(XlogOp::deleteLink, key, {});
-    apply(xlog);
-    return logAndCommit(now, xlog);
+    return commitOp(cpu(now, 0),
+                    static_cast<std::uint8_t>(XlogOp::deleteLink), key, {});
 }
 
 sim::Tick
@@ -195,9 +272,9 @@ MiniPg::getLink(sim::Tick now, const LinkKey &key,
                 std::vector<std::uint8_t> *out) const
 {
     auto it = links_.find(key);
-    std::size_t bytes = it == links_.end() ? 0 : it->second.size();
+    std::size_t bytes = it == links_.end() ? 0 : it->second.value.size();
     if (out && it != links_.end())
-        *out = it->second;
+        *out = it->second.value;
     return cpu(now, bytes);
 }
 
@@ -212,7 +289,7 @@ MiniPg::getLinkList(sim::Tick now, std::uint64_t id1, std::uint32_t type,
     for (auto it = links_.lower_bound(lo);
          it != links_.end() && !(hi < it->first); ++it) {
         ++n;
-        bytes += it->second.size();
+        bytes += it->second.value.size();
     }
     if (count)
         *count = n;
@@ -234,105 +311,76 @@ void
 MiniPg::apply(std::span<const std::uint8_t> xlog_payload)
 {
     std::size_t pos = 0;
-    auto op = static_cast<XlogOp>(xlog_payload[pos++]);
-    switch (op) {
-      case XlogOp::addNode:
-      case XlogOp::updateNode: {
-        std::uint64_t id = get64(xlog_payload, pos);
-        std::uint32_t len = get32(xlog_payload, pos);
-        nodes_[id].assign(xlog_payload.begin() +
-                              static_cast<std::ptrdiff_t>(pos),
-                          xlog_payload.begin() +
-                              static_cast<std::ptrdiff_t>(pos + len));
-        break;
-      }
-      case XlogOp::deleteNode: {
-        std::uint64_t id = get64(xlog_payload, pos);
-        get32(xlog_payload, pos);
-        nodes_.erase(id);
-        break;
-      }
-      case XlogOp::addLink: {
-        LinkKey key;
-        key.id1 = get64(xlog_payload, pos);
-        key.type = get32(xlog_payload, pos);
-        key.id2 = get64(xlog_payload, pos);
-        std::uint32_t len = get32(xlog_payload, pos);
-        links_[key].assign(xlog_payload.begin() +
-                               static_cast<std::ptrdiff_t>(pos),
-                           xlog_payload.begin() +
-                               static_cast<std::ptrdiff_t>(pos + len));
-        break;
-      }
-      case XlogOp::deleteLink: {
-        LinkKey key;
-        key.id1 = get64(xlog_payload, pos);
-        key.type = get32(xlog_payload, pos);
-        key.id2 = get64(xlog_payload, pos);
-        get32(xlog_payload, pos);
-        links_.erase(key);
-        break;
-      }
-      case XlogOp::multiOp: {
-        std::uint32_t count = get32(xlog_payload, pos);
+    const std::uint8_t code = xlog_payload[pos++];
+    const auto op = static_cast<XlogOp>(code);
+    if (op == XlogOp::multiOp) {
+        const std::uint32_t count = get32(xlog_payload, pos);
         for (std::uint32_t i = 0; i < count; ++i) {
-            std::uint32_t len = get32(xlog_payload, pos);
+            const std::uint32_t len = get32(xlog_payload, pos);
             apply(xlog_payload.subspan(pos, len));
             pos += len;
         }
-        break;
-      }
-      default:
-        sim::panic("minipg: unknown XLOG opcode ",
-                   static_cast<int>(op));
+        return;
     }
+    if (!isNodeOp(op) && op != XlogOp::addLink && op != XlogOp::deleteLink)
+        sim::panic("minipg: unknown XLOG opcode ", static_cast<int>(code));
+    LinkKey key;
+    key.id1 = get64(xlog_payload, pos);
+    if (!isNodeOp(op)) {
+        key.type = get32(xlog_payload, pos);
+        key.id2 = get64(xlog_payload, pos);
+    }
+    const std::uint32_t len = get32(xlog_payload, pos);
+    applyOp(code, key, xlog_payload.subspan(pos, len));
 }
 
 sim::Tick
-MiniPg::Transaction::buffer(sim::Tick now,
-                            std::vector<std::uint8_t> encoded,
-                            std::size_t payload_bytes)
+MiniPg::Transaction::buffer(sim::Tick now, std::uint8_t code,
+                            const LinkKey &key,
+                            std::span<const std::uint8_t> payload)
 {
     if (done_)
         sim::fatal("operation on a finished minipg transaction");
-    ops_.push_back(std::move(encoded));
-    return pg_.cpu(now, payload_bytes);
+    ops_.push_back({code, key, {payload.begin(), payload.end()}});
+    return pg_.cpu(now, payload.size());
 }
 
 sim::Tick
 MiniPg::Transaction::addNode(sim::Tick now, std::uint64_t id,
                              std::span<const std::uint8_t> payload)
 {
-    return buffer(now, encodeNode(XlogOp::addNode, id, payload),
-                  payload.size());
+    return buffer(now, static_cast<std::uint8_t>(XlogOp::addNode),
+                  {id, 0, 0}, payload);
 }
 
 sim::Tick
 MiniPg::Transaction::updateNode(sim::Tick now, std::uint64_t id,
                                 std::span<const std::uint8_t> payload)
 {
-    return buffer(now, encodeNode(XlogOp::updateNode, id, payload),
-                  payload.size());
+    return buffer(now, static_cast<std::uint8_t>(XlogOp::updateNode),
+                  {id, 0, 0}, payload);
 }
 
 sim::Tick
 MiniPg::Transaction::deleteNode(sim::Tick now, std::uint64_t id)
 {
-    return buffer(now, encodeNode(XlogOp::deleteNode, id, {}), 0);
+    return buffer(now, static_cast<std::uint8_t>(XlogOp::deleteNode),
+                  {id, 0, 0}, {});
 }
 
 sim::Tick
 MiniPg::Transaction::addLink(sim::Tick now, const LinkKey &key,
                              std::span<const std::uint8_t> payload)
 {
-    return buffer(now, encodeLink(XlogOp::addLink, key, payload),
-                  payload.size());
+    return buffer(now, static_cast<std::uint8_t>(XlogOp::addLink), key,
+                  payload);
 }
 
 sim::Tick
 MiniPg::Transaction::deleteLink(sim::Tick now, const LinkKey &key)
 {
-    return buffer(now, encodeLink(XlogOp::deleteLink, key, {}), 0);
+    return buffer(now, static_cast<std::uint8_t>(XlogOp::deleteLink), key,
+                  {});
 }
 
 sim::Tick
@@ -344,24 +392,50 @@ MiniPg::Transaction::commit(sim::Tick now)
     if (ops_.empty())
         return now;
     // One combined XLOG record: all-or-nothing on replay.
-    std::vector<std::uint8_t> xlog;
+    std::vector<std::uint8_t> &xlog = pg_.xlog_;
+    xlog.clear();
     xlog.push_back(static_cast<std::uint8_t>(XlogOp::multiOp));
     put32(xlog, static_cast<std::uint32_t>(ops_.size()));
-    for (const auto &op : ops_) {
-        put32(xlog, static_cast<std::uint32_t>(op.size()));
-        xlog.insert(xlog.end(), op.begin(), op.end());
+    for (const Op &op : ops_) {
+        const auto code = static_cast<XlogOp>(op.code);
+        put32(xlog, static_cast<std::uint32_t>(
+                        encodedSize(code, op.payload.size())));
+        encodeOp(xlog, code, op.key, op.payload);
+        pg_.applyOp(op.code, op.key, op.payload);
     }
-    pg_.apply(xlog);
-    return pg_.logAndCommit(now, xlog);
+    return pg_.logAndCommit(now);
 }
 
 void
 MiniPg::recover()
 {
-    // ARIES-lite redo: restore the checkpoint image, then replay the
-    // durable log suffix in sequence order.
-    nodes_ = snapshotNodes_;
-    links_ = snapshotLinks_;
+    // Roll back to the last checkpoint's image: undo every change
+    // since it, newest first, so an item changed twice ends at its
+    // oldest pre-image. The redo below logs its own changes afresh
+    // under a new generation, so a second recovery rolls those back
+    // too. Before the first checkpoint the image is the empty store.
+    if (!checkpointed_) {
+        nodes_ = {};
+        links_.clear();
+    }
+    for (auto it = nodeUndo_.rbegin(); it != nodeUndo_.rend(); ++it) {
+        if (it->value) {
+            nodes_.emplace(it->key).first->value = std::move(*it->value);
+        } else if (const std::size_t slot = nodes_.slotOf(it->key);
+                   slot != nodes_.noSlot) {
+            nodes_.removeAt(slot);
+        }
+    }
+    for (auto it = linkUndo_.rbegin(); it != linkUndo_.rend(); ++it) {
+        if (it->value)
+            links_[it->key].value = std::move(*it->value);
+        else
+            links_.erase(it->key);
+    }
+    nodeUndo_.clear();
+    linkUndo_.clear();
+    ++generation_;
+    // ARIES-lite redo of the durable log suffix, in sequence order.
     seq_ = snapshotSeq_;
     gc_.reset();
     auto recs = wal::parseLogStream(log_.recoverContents(),
@@ -378,16 +452,14 @@ MiniPg::forEachNodeSorted(
     const std::function<void(std::uint64_t,
                              std::span<const std::uint8_t>)> &fn) const
 {
-    using Ref = std::pair<std::uint64_t, const std::vector<std::uint8_t> *>;
-    std::vector<Ref> sorted;
+    std::vector<const Node *> sorted;
     sorted.reserve(nodes_.size());
-    // bssd-lint: allow(det-unordered-iter) collected into a vector that is sorted before visiting
-    for (const auto &[id, payload] : nodes_)
-        sorted.emplace_back(id, &payload);
+    for (const Node &n : nodes_.entries())
+        sorted.push_back(&n);
     std::sort(sorted.begin(), sorted.end(),
-              [](const Ref &a, const Ref &b) { return a.first < b.first; });
-    for (const auto &[id, payload] : sorted)
-        fn(id, *payload);
+              [](const Node *a, const Node *b) { return a->key < b->key; });
+    for (const Node *n : sorted)
+        fn(n->key, n->value);
 }
 
 void
@@ -395,9 +467,8 @@ MiniPg::forEachNodeUnordered(
     const std::function<void(std::uint64_t,
                              std::span<const std::uint8_t>)> &fn) const
 {
-    // bssd-lint: allow(det-unordered-iter) callers are order-insensitive (see the header)
-    for (const auto &[id, payload] : nodes_)
-        fn(id, payload);
+    for (const Node &n : nodes_.entries())
+        fn(n.key, n.value);
 }
 
 std::uint64_t
@@ -421,11 +492,11 @@ MiniPg::contentHash() const
             mix64(id);
             mix(payload.data(), payload.size());
         });
-    for (const auto &[key, payload] : links_) {
+    for (const auto &[key, link] : links_) {
         mix64(key.id1);
         mix64(key.type);
         mix64(key.id2);
-        mix(payload.data(), payload.size());
+        mix(link.value.data(), link.value.size());
     }
     return h;
 }

@@ -14,6 +14,14 @@
  * durable log prefix (ARIES-style redo) and must reach exactly the
  * state covered by successful commits - tests verify both presence of
  * committed data and absence of uncommitted data.
+ *
+ * Operations update the store directly; XLOG records are decoded only
+ * by recovery. A checkpoint copies nothing: the store keeps an undo
+ * log of the pre-images of the nodes and links changed since it, and
+ * recovery rolls those back to reach the checkpoint image before it
+ * redoes the log suffix (the scheme MiniRedis uses for AOF rewrites).
+ * Nodes live in the stores' flat index (db/flat_index.hh), links in
+ * an ordered map that range scans walk.
  */
 
 #ifndef BSSD_DB_MINIPG_MINIPG_HH
@@ -25,9 +33,9 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "db/flat_index.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
 #include "wal/group_commit.hh"
@@ -120,12 +128,21 @@ class MiniPg
       private:
         friend class MiniPg;
         explicit Transaction(MiniPg &pg) : pg_(pg) {}
-        sim::Tick buffer(sim::Tick now,
-                         std::vector<std::uint8_t> encoded,
-                         std::size_t payload_bytes);
+
+        /** One buffered operation; node operations key by key.id1. */
+        struct Op
+        {
+            std::uint8_t code = 0;
+            LinkKey key;
+            std::vector<std::uint8_t> payload;
+        };
+
+        sim::Tick buffer(sim::Tick now, std::uint8_t code,
+                         const LinkKey &key,
+                         std::span<const std::uint8_t> payload);
 
         MiniPg &pg_;
-        std::vector<std::vector<std::uint8_t>> ops_;
+        std::vector<Op> ops_;
         bool done_ = false;
     };
 
@@ -136,7 +153,10 @@ class MiniPg
     void recover();
 
     /** @name Introspection for tests @{ */
-    bool hasNode(std::uint64_t id) const { return nodes_.contains(id); }
+    bool hasNode(std::uint64_t id) const
+    {
+        return nodes_.find(id) != nullptr;
+    }
     bool hasLink(const LinkKey &k) const { return links_.contains(k); }
     std::size_t nodeCount() const { return nodes_.size(); }
     std::size_t linkCount() const { return links_.size(); }
@@ -146,9 +166,7 @@ class MiniPg
 
     /**
      * Visit every live node in ascending id order - the deterministic
-     * store iterator the cluster's range-move copy path walks. The
-     * heap is drained into a sorted view first so the hash map's
-     * bucket layout never reaches the caller (DESIGN.md section 11).
+     * store iterator the cluster's range-move copy path walks.
      */
     void forEachNodeSorted(
         const std::function<void(std::uint64_t,
@@ -156,10 +174,11 @@ class MiniPg
         const;
 
     /**
-     * Visit every live node exactly once, in hash-map order. Only for
-     * scans whose result does not depend on the order (the cluster's
-     * consistency check); anything that can reach an output walks
-     * forEachNodeSorted() instead.
+     * Visit every live node exactly once, in the index's entry order:
+     * a function of the operation sequence, but not of the ids' sort
+     * order. Only for scans whose result does not depend on the order
+     * (the cluster's consistency check); anything that can reach an
+     * output walks forEachNodeSorted() instead.
      */
     void forEachNodeUnordered(
         const std::function<void(std::uint64_t,
@@ -176,35 +195,87 @@ class MiniPg
     /** @} */
 
   private:
+    /** A live node, stamped with the last checkpoint generation whose
+     *  undo log already holds its pre-image. */
+    struct Node
+    {
+        std::uint64_t key = 0;
+        std::vector<std::uint8_t> value;
+        std::uint64_t logged = 0;
+    };
+
+    /** A live link, stamped like a Node. */
+    struct Link
+    {
+        std::vector<std::uint8_t> value;
+        std::uint64_t logged = 0;
+    };
+
+    /** A node or link as the current checkpoint generation found it:
+     *  its bytes, or nullopt when it was absent. */
+    template <class Key>
+    struct PreImage
+    {
+        Key key;
+        std::optional<std::vector<std::uint8_t>> value;
+    };
+
     wal::LogDevice &log_;
     PgConfig cfg_;
     wal::GroupCommitter gc_;
 
-    // Audited (DESIGN.md section 11): the heap is read per node id,
-    // the checkpoint/recovery path copies it wholesale (snapshotNodes_
-    // = nodes_) then replays WAL records in log order, and its scans
-    // either sort first or feed order-insensitive checks; only links_,
-    // which range scans, needs ordering - and it is a std::map.
-    // bssd-lint: allow(det-unordered-member) keyed access; iteration sorts first or is order-insensitive
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> nodes_;
-    std::map<LinkKey, std::vector<std::uint8_t>> links_;
+    // Audited (DESIGN.md section 11): nothing iterates the index's
+    // slots. Scans walk its entries, whose order is set by the
+    // operation sequence; forEachNodeSorted() and contentHash() sort
+    // them first, and forEachNodeUnordered() feeds only
+    // order-insensitive checks. links_, which range scans, is ordered.
+    db::FlatIndex<Node, db::MixHash64> nodes_;
+    std::map<LinkKey, Link> links_;
     std::uint64_t seq_ = 0;
 
-    /** Checkpoint image (lives on the data device in the model). */
-    // bssd-lint: allow(det-unordered-member) wholesale copy of nodes_, never iterated
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>>
-        snapshotNodes_;
-    std::map<LinkKey, std::vector<std::uint8_t>> snapshotLinks_;
+    /** Pre-images of the nodes and links changed since the last
+     *  checkpoint, in change order: undone in reverse, they restore
+     *  the image the checkpoint left (which lives on the data device
+     *  in the model). Nodes and links never alias, so each log rolls
+     *  back on its own. */
+    std::vector<PreImage<std::uint64_t>> nodeUndo_;
+    std::vector<PreImage<LinkKey>> linkUndo_;
+    /** Current checkpoint generation (entries start unstamped at 0). */
+    std::uint64_t generation_ = 1;
+    /** False until the first checkpoint: the image before it is the
+     *  empty store, so changes log no pre-images and recovery starts
+     *  from empty. */
+    bool checkpointed_ = false;
+    /** First sequence number after the last checkpoint. */
     std::uint64_t snapshotSeq_ = 0;
+
+    /** @name Reused record buffers @{ */
+    std::vector<std::uint8_t> xlog_;
+    std::vector<std::uint8_t> frame_;
+    /** @} */
 
     sim::Counter commits_{"minipg.commits"};
     sim::Counter checkpoints_{"minipg.checkpoints"};
 
     sim::Tick cpu(sim::Tick now, std::size_t payload_bytes) const;
-    sim::Tick logAndCommit(sim::Tick now,
-                           std::span<const std::uint8_t> xlog_payload);
+    /** One single-operation transaction: apply it, then log it. */
+    sim::Tick commitOp(sim::Tick now, std::uint8_t code, const LinkKey &key,
+                       std::span<const std::uint8_t> payload);
+    /** Frame xlog_ as the next record, append it and group-commit. */
+    sim::Tick logAndCommit(sim::Tick now);
     sim::Tick maybeCheckpoint(sim::Tick now);
+    /** Redo one XLOG record (recovery only). */
     void apply(std::span<const std::uint8_t> xlog_payload);
+    /** @name Store changes, each undo-logged @{ */
+    /** One decoded operation; node operations key by key.id1. Panics
+     *  on an unknown opcode. */
+    void applyOp(std::uint8_t code, const LinkKey &key,
+                 std::span<const std::uint8_t> payload);
+    void putNode(std::uint64_t id, std::span<const std::uint8_t> payload);
+    void eraseNode(std::uint64_t id);
+    void putLink(const LinkKey &key, std::span<const std::uint8_t> payload);
+    void eraseLink(const LinkKey &key);
+    /** @} */
 };
 
 } // namespace bssd::db::minipg

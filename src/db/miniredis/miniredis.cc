@@ -1,7 +1,6 @@
 #include "db/miniredis/miniredis.hh"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <limits>
 
@@ -16,20 +15,6 @@ namespace
 
 constexpr std::uint8_t cmdSet = 1;
 constexpr std::uint8_t cmdDel = 2;
-
-/** A slot's low 32 bits: entry index + 1 (0 = empty slot). */
-constexpr std::uint64_t indexMask = 0xffffffff;
-/** Slot count of a store's first key. */
-constexpr std::size_t minSlots = 16;
-/** Keys a store can hold: their slots, at most half full, must stay
- *  addressable by the 32 hash bits a slot keeps. */
-constexpr std::size_t maxKeys = std::size_t(1) << 31;
-
-std::uint64_t
-keyHash(std::string_view key)
-{
-    return std::hash<std::string_view>{}(key);
-}
 
 void
 put32(std::vector<std::uint8_t> &v, std::uint32_t x)
@@ -108,123 +93,10 @@ MiniRedis::maybeRewriteAof(sim::Tick now)
     return now + sim::usOf(500);
 }
 
-std::size_t
-MiniRedis::probe(std::string_view key, std::uint64_t hash) const
-{
-    const std::size_t mask = slots_.size() - 1;
-    const std::uint64_t tag = hash & ~indexMask;
-    for (std::size_t i = hash >> slotShift_;; i = (i + 1) & mask) {
-        const std::uint64_t s = slots_[i];
-        if (s == 0 || ((s & ~indexMask) == tag &&
-                       entries_[(s & indexMask) - 1].key == key)) {
-            return i;
-        }
-    }
-}
-
-std::size_t
-MiniRedis::slotOf(std::string_view key) const
-{
-    if (slots_.empty())
-        return noSlot;
-    const std::size_t i = probe(key, keyHash(key));
-    return slots_[i] == 0 ? noSlot : i;
-}
-
-MiniRedis::Entry &
-MiniRedis::entryAt(std::size_t slot)
-{
-    return entries_[(slots_[slot] & indexMask) - 1];
-}
-
-const MiniRedis::Entry &
-MiniRedis::entryAt(std::size_t slot) const
-{
-    return entries_[(slots_[slot] & indexMask) - 1];
-}
-
-const MiniRedis::Entry *
-MiniRedis::find(std::string_view key) const
-{
-    const std::size_t slot = slotOf(key);
-    return slot == noSlot ? nullptr : &entryAt(slot);
-}
-
-std::pair<MiniRedis::Entry *, bool>
-MiniRedis::emplace(const std::string &key)
-{
-    const std::uint64_t hash = keyHash(key);
-    if (slots_.empty())
-        grow();
-    std::size_t i = probe(key, hash);
-    if (slots_[i] != 0)
-        return {&entryAt(i), false};
-    if (2 * (entries_.size() + 1) > slots_.size()) {
-        grow();
-        i = probe(key, hash);
-    }
-    if (entries_.size() == maxKeys)
-        sim::panic("miniredis: more than ", maxKeys, " keys");
-    entries_.push_back({key, {}, 0});
-    slots_[i] = (hash & ~indexMask) | entries_.size();
-    return {&entries_.back(), true};
-}
-
-void
-MiniRedis::removeAt(std::size_t slot)
-{
-    const std::size_t mask = slots_.size() - 1;
-    const std::size_t index = (slots_[slot] & indexMask) - 1;
-    // Backward-shift deletion: walk the rest of the probe chain and
-    // pull back into the hole every slot whose home does not lie
-    // after the hole, so no probe ever stops early at a gap.
-    std::size_t hole = slot;
-    for (std::size_t i = (slot + 1) & mask; slots_[i] != 0;
-         i = (i + 1) & mask) {
-        const std::size_t home = slots_[i] >> slotShift_;
-        if (((i - home) & mask) >= ((i - hole) & mask)) {
-            slots_[hole] = slots_[i];
-            hole = i;
-        }
-    }
-    slots_[hole] = 0;
-    // Keep the entries dense: the last one moves into the freed index
-    // and its slot is re-pointed there.
-    const std::size_t last = entries_.size() - 1;
-    if (index != last) {
-        entries_[index] = std::move(entries_[last]);
-        std::size_t i = keyHash(entries_[index].key) >> slotShift_;
-        while ((slots_[i] & indexMask) != last + 1)
-            i = (i + 1) & mask;
-        slots_[i] = (slots_[i] & ~indexMask) | (index + 1);
-    }
-    entries_.pop_back();
-}
-
-void
-MiniRedis::grow()
-{
-    const std::vector<std::uint64_t> old = std::exchange(
-        slots_, std::vector<std::uint64_t>(
-                    std::max(minSlots, 2 * slots_.size())));
-    slotShift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
-    // A slot carries its hash's top 32 bits, which hold the home, so
-    // re-placing it needs neither the key nor the entry.
-    const std::size_t mask = slots_.size() - 1;
-    for (const std::uint64_t s : old) {
-        if (s == 0)
-            continue;
-        std::size_t i = s >> slotShift_;
-        while (slots_[i] != 0)
-            i = (i + 1) & mask;
-        slots_[i] = s;
-    }
-}
-
 void
 MiniRedis::put(const std::string &key, std::span<const std::uint8_t> value)
 {
-    auto [e, inserted] = emplace(key);
+    auto [e, inserted] = index_.emplace(key);
     if (inserted)
         undo_.push_back({key, std::nullopt});
     else if (e->logged != generation_)
@@ -236,13 +108,13 @@ MiniRedis::put(const std::string &key, std::span<const std::uint8_t> value)
 void
 MiniRedis::erase(const std::string &key)
 {
-    const std::size_t slot = slotOf(key);
-    if (slot == noSlot)
+    const std::size_t slot = index_.slotOf(key);
+    if (slot == index_.noSlot)
         return;
-    Entry &e = entryAt(slot);
+    Entry &e = index_.at(slot);
     if (e.logged != generation_)
         undo_.push_back({key, std::move(e.value)});
-    removeAt(slot);
+    index_.removeAt(slot);
 }
 
 sim::Tick
@@ -270,7 +142,7 @@ MiniRedis::incr(sim::Tick now, const std::string &key,
 {
     commands_.add();
     std::int64_t v = 0;
-    if (const Entry *e = find(key)) {
+    if (const Entry *e = index_.find(key)) {
         const char *first = reinterpret_cast<const char *>(e->value.data());
         const char *last = first + e->value.size();
         const auto [end, ec] = std::from_chars(first, last, v);
@@ -301,7 +173,7 @@ MiniRedis::get(sim::Tick now, const std::string &key,
                std::optional<std::vector<std::uint8_t>> *out) const
 {
     std::size_t bytes = key.size();
-    const Entry *e = find(key);
+    const Entry *e = index_.find(key);
     if (e)
         bytes += e->value.size();
     if (out) {
@@ -343,10 +215,12 @@ MiniRedis::recover()
     // pre-image. The replay below logs its own changes afresh under a
     // new generation, so a second recovery rolls those back too.
     for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-        if (it->value)
-            emplace(it->key).first->value = std::move(*it->value);
-        else if (const std::size_t slot = slotOf(it->key); slot != noSlot)
-            removeAt(slot);
+        if (it->value) {
+            index_.emplace(it->key).first->value = std::move(*it->value);
+        } else if (const std::size_t slot = index_.slotOf(it->key);
+                   slot != index_.noSlot) {
+            index_.removeAt(slot);
+        }
     }
     undo_.clear();
     ++generation_;
@@ -395,8 +269,8 @@ MiniRedis::forEachSorted(
         const Entry *e;
     };
     std::vector<Ref> sorted;
-    sorted.reserve(entries_.size());
-    for (const Entry &e : entries_) {
+    sorted.reserve(index_.size());
+    for (const Entry &e : index_.entries()) {
         std::uint64_t prefix = 0;
         for (std::size_t i = 0; i < 8; ++i) {
             prefix <<= 8;
@@ -419,7 +293,7 @@ MiniRedis::forEachUnordered(
     const std::function<void(const std::string &,
                              std::span<const std::uint8_t>)> &fn) const
 {
-    for (const Entry &e : entries_)
+    for (const Entry &e : index_.entries())
         fn(e.key, e.value);
 }
 

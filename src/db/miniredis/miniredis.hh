@@ -17,13 +17,10 @@
  * changed since the rewrite, and recovery rolls those back to reach
  * the snapshot before it replays the AOF suffix.
  *
- * The dataset is a flat index private to the store: a dense vector of
- * entries (key, value, rewrite stamp) and a power-of-two array of
- * open-addressed slots, each packing the key hash's top 32 bits with
- * its entry's index + 1. Lookups probe linearly; a delete shifts the
- * probe chain back and moves the last entry into the hole, so the
- * entry order, the only order a scan sees, follows from the command
- * sequence alone.
+ * The dataset lives in the stores' flat index (db/flat_index.hh): a
+ * dense vector of entries (key, value, rewrite stamp) behind
+ * open-addressed slots, whose entry order, the only order a scan
+ * sees, follows from the command sequence alone.
  */
 
 #ifndef BSSD_DB_MINIREDIS_MINIREDIS_HH
@@ -38,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "db/flat_index.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
 #include "wal/log_device.hh"
@@ -87,8 +85,11 @@ class MiniRedis
     void recover();
 
     /** @name Introspection @{ */
-    std::size_t keys() const { return entries_.size(); }
-    bool exists(const std::string &k) const { return find(k) != nullptr; }
+    std::size_t keys() const { return index_.size(); }
+    bool exists(const std::string &k) const
+    {
+        return index_.find(k) != nullptr;
+    }
     std::uint64_t aofRewrites() const { return rewrites_.value(); }
     std::uint64_t commandsProcessed() const { return commands_.value(); }
 
@@ -145,21 +146,13 @@ class MiniRedis
     wal::LogDevice &aof_;
     RedisConfig cfg_;
     // Audited (DESIGN.md section 11): the slot layout depends on the
-    // key hash, but nothing iterates the slots. Scans walk entries_,
+    // key hash, but nothing iterates the slots. Scans walk the entries,
     // whose order is set by the command sequence (appends, and the
     // last entry moving into a deleted one's place); contentHash() and
-    // forEachSorted() sort it first, and forEachUnordered() feeds only
-    // order-insensitive checks.
-    /** The live dataset, densely packed in no key order. */
-    std::vector<Entry> entries_;
-    /** Open-addressed slots, a power of two of them, at most half
-     *  full: the key hash's top 32 bits, then entry index + 1 in the
-     *  low 32 bits; 0 is empty. A key's probe starts at the slot its
-     *  hash's top log2(slots) bits name. Empty until the first key. */
-    std::vector<std::uint64_t> slots_;
-    /** 64 - log2(slots_.size()): a hash's (or slot's) home is it
-     *  shifted right by this. */
-    unsigned slotShift_ = 64;
+    // forEachSorted() sort them first, and forEachUnordered() feeds
+    // only order-insensitive checks.
+    /** The live dataset. */
+    db::FlatIndex<Entry, std::hash<std::string_view>> index_;
     std::uint64_t seq_ = 0;
     /** Pre-images of the keys changed since the last AOF rewrite, in
      *  change order: undone in reverse, they restore the dataset the
@@ -182,26 +175,6 @@ class MiniRedis
     /** @name Dataset changes, each undo-logged @{ */
     void put(const std::string &key, std::span<const std::uint8_t> value);
     void erase(const std::string &key);
-    /** @} */
-
-    /** @name The index (no undo logging) @{ */
-    static constexpr std::size_t noSlot = ~std::size_t(0);
-    /** The slot holding @p key (whose hash is @p hash), or the empty
-     *  slot that ends its probe. Needs at least one slot. */
-    std::size_t probe(std::string_view key, std::uint64_t hash) const;
-    /** The slot holding @p key, or noSlot. */
-    std::size_t slotOf(std::string_view key) const;
-    /** The entry @p slot points at. */
-    Entry &entryAt(std::size_t slot);
-    const Entry &entryAt(std::size_t slot) const;
-    const Entry *find(std::string_view key) const;
-    /** The entry of @p key, appended empty when absent; second is
-     *  whether it was. */
-    std::pair<Entry *, bool> emplace(const std::string &key);
-    /** Drop the entry @p slot points at. */
-    void removeAt(std::size_t slot);
-    /** Double the slot array (or create it) and re-place every slot. */
-    void grow();
     /** @} */
 };
 

@@ -1,12 +1,21 @@
 #include "ftl/ftl.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/domain.hh"
 #include "sim/logging.hh"
 
 namespace bssd::ftl
 {
+
+namespace
+{
+
+/** What an unmapped L2P entry holds. */
+constexpr nand::Ppa noPpa{~0u, ~0u, ~0u};
+
+} // namespace
 
 Ftl::Ftl(nand::NandFlash &flash, const FtlConfig &cfg)
     : flash_(flash), cfg_(cfg),
@@ -76,6 +85,7 @@ Ftl::Ftl(nand::NandFlash &flash, const FtlConfig &cfg)
     if (reserve_pages >= g.totalPages())
         sim::fatal("FTL over-provisioning leaves no logical capacity");
     logicalPages_ = g.totalPages() - reserve_pages;
+    l2p_.resize(((logicalPages_ - 1) >> (l2pLeafShift + l2pDirShift)) + 1);
 }
 
 std::uint32_t
@@ -88,6 +98,57 @@ Ftl::BlockInfo &
 Ftl::blockOf(nand::Ppa ppa)
 {
     return blocks_[blockIndex(ppa.die, ppa.block)];
+}
+
+const nand::Ppa *
+Ftl::mapped(Lpn lpn) const
+{
+    const Lpn leaf = lpn >> l2pLeafShift;
+    const Lpn dir = leaf >> l2pDirShift;
+    if (dir >= l2p_.size() || !l2p_[dir])
+        return nullptr;
+    const L2pLeaf &entries = l2p_[dir][leaf & ((1u << l2pDirShift) - 1)];
+    if (!entries)
+        return nullptr;
+    const nand::Ppa &ppa = entries[lpn & ((1u << l2pLeafShift) - 1)];
+    return ppa == noPpa ? nullptr : &ppa;
+}
+
+nand::Ppa *
+Ftl::mapped(Lpn lpn)
+{
+    return const_cast<nand::Ppa *>(std::as_const(*this).mapped(lpn));
+}
+
+void
+Ftl::map(Lpn lpn, nand::Ppa ppa)
+{
+    const Lpn leaf = lpn >> l2pLeafShift;
+    auto &dir = l2p_[leaf >> l2pDirShift];
+    if (!dir)
+        dir = std::make_unique<L2pLeaf[]>(std::size_t(1) << l2pDirShift);
+    L2pLeaf &entries = dir[leaf & ((1u << l2pDirShift) - 1)];
+    if (!entries) {
+        entries = std::make_unique<nand::Ppa[]>(std::size_t(1)
+                                                << l2pLeafShift);
+        std::fill_n(entries.get(), std::size_t(1) << l2pLeafShift, noPpa);
+    }
+    entries[lpn & ((1u << l2pLeafShift) - 1)] = ppa;
+}
+
+nand::Ppa
+Ftl::relocate(Lpn lpn, nand::Ppa src, sim::Tick at)
+{
+    if (relocDepth_ == relocBufs_.size())
+        relocBufs_.emplace_back(pageSize_);
+    std::vector<std::uint8_t> &buf = relocBufs_[relocDepth_++];
+    flash_.readPage(src, buf);
+    // A nested relocation may grow relocBufs_; the page span handed
+    // down here stays valid, as moving a vector keeps its storage.
+    const nand::Ppa dst = writeOnePage(lpn, buf, at);
+    --relocDepth_;
+    ++gcPages_;
+    return dst;
 }
 
 std::uint32_t
@@ -153,15 +214,15 @@ Ftl::allocatePage()
 void
 Ftl::invalidate(Lpn lpn)
 {
-    auto it = l2p_.find(lpn);
-    if (it == l2p_.end())
+    nand::Ppa *ppa = mapped(lpn);
+    if (!ppa)
         return;
-    auto &blk = blockOf(it->second);
+    auto &blk = blockOf(*ppa);
     if (blk.validPages == 0)
-        sim::panic("invalidate underflow on block ", it->second.block);
+        sim::panic("invalidate underflow on block ", ppa->block);
     --blk.validPages;
-    blk.pageLpn[it->second.page] = ~Lpn(0);
-    l2p_.erase(it);
+    blk.pageLpn[ppa->page] = ~Lpn(0);
+    *ppa = noPpa;
 }
 
 nand::Ppa
@@ -183,7 +244,7 @@ Ftl::writeOnePage(Lpn lpn, std::span<const std::uint8_t> page,
         invalidate(lpn);
         blk.pageLpn[ppa.page] = lpn;
         ++blk.validPages;
-        l2p_[lpn] = ppa;
+        map(lpn, ppa);
         return ppa;
     }
     sim::panic("FTL page program kept failing after retiring 8 blocks");
@@ -202,19 +263,16 @@ Ftl::retireBlock(std::uint32_t die, std::uint32_t block, sim::Tick at)
     // Relocate every page still mapped into the dying block before
     // abandoning it. The block is already marked bad, so the recursive
     // writeOnePage cannot allocate from it again.
-    std::vector<std::uint8_t> buf(pageSize_);
     const std::uint32_t wp = flash_.writePointer(die, block);
     for (std::uint32_t p = 0; p < wp && p < blk.pageLpn.size(); ++p) {
         Lpn lpn = blk.pageLpn[p];
         if (lpn == ~Lpn(0))
             continue; // stale page
         nand::Ppa src{die, block, p};
-        auto it = l2p_.find(lpn);
-        if (it == l2p_.end() || !(it->second == src))
+        const nand::Ppa *cur = mapped(lpn);
+        if (!cur || !(*cur == src))
             continue; // remapped since
-        flash_.readPage(src, buf);
-        writeOnePage(lpn, buf, at);
-        ++gcPages_;
+        relocate(lpn, src, at);
     }
     blk.free = false;
     blk.open = false;
@@ -293,28 +351,25 @@ Ftl::doCollectGarbage(sim::Tick ready)
         auto &victim = blocks_[vi];
 
         // Relocate the victim's valid pages to fresh locations.
-        std::vector<std::uint8_t> buf(pageSize_);
-        std::vector<nand::Ppa> srcPpas;
-        std::vector<nand::Ppa> dstPpas;
+        gcSrc_.clear();
+        gcDst_.clear();
         std::uint32_t wp = flash_.writePointer(victim.die, victim.block);
         for (std::uint32_t p = 0; p < wp; ++p) {
             Lpn lpn = victim.pageLpn[p];
             if (lpn == ~Lpn(0))
                 continue; // stale page
             nand::Ppa src{victim.die, victim.block, p};
-            auto it = l2p_.find(lpn);
-            if (it == l2p_.end() || !(it->second == src))
+            const nand::Ppa *cur = mapped(lpn);
+            if (!cur || !(*cur == src))
                 continue; // remapped since
-            flash_.readPage(src, buf);
-            srcPpas.push_back(src);
-            dstPpas.push_back(writeOnePage(lpn, buf, t));
-            ++gcPages_;
+            gcSrc_.push_back(src);
+            gcDst_.push_back(relocate(lpn, src, t));
         }
         // Relocations batch naturally: the victim-die reads share one
         // channel while the multi-plane programs fan out across the
         // destination dies' channels.
-        t = std::max(t, flash_.timedRead(t, srcPpas).iv.end);
-        t = std::max(t, flash_.timedProgram(t, dstPpas).iv.end);
+        t = std::max(t, flash_.timedRead(t, gcSrc_).iv.end);
+        t = std::max(t, flash_.timedProgram(t, gcDst_).iv.end);
         sim::tracepointHit(faults_, tracer_, sim::Tp::ftlGcErase, t);
         if (!flash_.eraseBlock(victim.die, victim.block)) {
             // Erase failure: grown defect. Retire the victim instead
@@ -386,29 +441,26 @@ Ftl::backgroundGcStep(sim::Tick now)
     ++gcSteps_;
 
     auto &victim = blocks_[static_cast<std::size_t>(gcVictim_)];
-    std::vector<std::uint8_t> buf(pageSize_);
-    std::vector<nand::Ppa> srcPpas;
-    std::vector<nand::Ppa> dstPpas;
+    gcSrc_.clear();
+    gcDst_.clear();
     const std::uint32_t wp = flash_.writePointer(victim.die, victim.block);
-    while (gcScanPage_ < wp && srcPpas.size() < cfg_.gcStepPages) {
+    while (gcScanPage_ < wp && gcSrc_.size() < cfg_.gcStepPages) {
         std::uint32_t p = gcScanPage_++;
         Lpn lpn = victim.pageLpn[p];
         if (lpn == ~Lpn(0))
             continue; // stale page
         nand::Ppa src{victim.die, victim.block, p};
-        auto it = l2p_.find(lpn);
-        if (it == l2p_.end() || !(it->second == src))
+        const nand::Ppa *cur = mapped(lpn);
+        if (!cur || !(*cur == src))
             continue; // remapped since
-        flash_.readPage(src, buf);
-        srcPpas.push_back(src);
-        dstPpas.push_back(writeOnePage(lpn, buf, now));
-        ++gcPages_;
+        gcSrc_.push_back(src);
+        gcDst_.push_back(relocate(lpn, src, now));
     }
     // Background reservations: later host reads may claim these slots
     // (read priority) and the erase below is suspendable.
     sim::Tick t = now;
-    t = std::max(t, flash_.timedGcRead(t, srcPpas).iv.end);
-    t = std::max(t, flash_.timedGcProgram(t, dstPpas).iv.end);
+    t = std::max(t, flash_.timedGcRead(t, gcSrc_).iv.end);
+    t = std::max(t, flash_.timedGcProgram(t, gcDst_).iv.end);
     const sim::Tick relocEnd = t;
 
     if (gcScanPage_ >= wp) {
@@ -457,28 +509,27 @@ Ftl::read(sim::Tick ready, Lpn lpn, std::uint64_t count,
     if (cfg_.backgroundGc)
         backgroundGcSteps(ready);
 
-    std::vector<nand::Ppa> ppas;
-    ppas.reserve(count);
+    ioPpas_.clear();
     for (std::uint64_t i = 0; i < count; ++i) {
         auto sub = out.subspan(i * pageSize_, pageSize_);
-        auto it = l2p_.find(lpn + i);
-        if (it == l2p_.end()) {
+        const nand::Ppa *ppa = mapped(lpn + i);
+        if (!ppa) {
             std::fill(sub.begin(), sub.end(), 0xff);
         } else {
-            flash_.readPage(it->second, sub);
-            ppas.push_back(it->second);
+            flash_.readPage(*ppa, sub);
+            ioPpas_.push_back(*ppa);
         }
     }
     // Unmapped pages are served from the mapping table alone; only
     // mapped pages cost NAND time.
     if (!tracer_) {
-        auto op = flash_.timedRead(ready, ppas);
+        auto op = flash_.timedRead(ready, ioPpas_);
         readLat_.record(op.iv.end - ready);
         lastHostEnd_ = std::max(lastHostEnd_, op.iv.end);
         return op.iv;
     }
     sim::SpanId sp = tracer_->beginSpan("ftl", "read", ready);
-    auto op = flash_.timedRead(ready, ppas);
+    auto op = flash_.timedRead(ready, ioPpas_);
     tracer_->phase("wait", ready, op.iv.start);
     tracer_->phase("media", op.iv.start, op.mediaEnd);
     tracer_->phase("chan_xfer", op.mediaEnd, op.iv.end);
@@ -514,17 +565,16 @@ Ftl::write(sim::Tick ready, Lpn lpn, std::uint64_t count,
     if (tracer_ && t > ready)
         tracer_->phase("gc_stall", ready, t);
 
-    std::vector<nand::Ppa> ppas;
-    ppas.reserve(count);
+    ioPpas_.clear();
     for (std::uint64_t i = 0; i < count; ++i) {
-        ppas.push_back(writeOnePage(
+        ioPpas_.push_back(writeOnePage(
             lpn + i, data.subspan(i * pageSize_, pageSize_), t));
         ++hostPages_;
     }
     // One timed program for the whole request: the frontier's per-die
     // runs coalesce into multi-plane program chunks, exactly how the
     // controller batches.
-    auto op = flash_.timedProgram(t, ppas);
+    auto op = flash_.timedProgram(t, ioPpas_);
     if (tracer_) {
         tracer_->phase("wait", t, op.iv.start);
         tracer_->phase("media", op.iv.start, op.iv.end);
@@ -545,11 +595,10 @@ Ftl::readUntimed(Lpn lpn, std::uint64_t count,
         sim::panic("FTL read buffer too small");
     for (std::uint64_t i = 0; i < count; ++i) {
         auto sub = out.subspan(i * pageSize_, pageSize_);
-        auto it = l2p_.find(lpn + i);
-        if (it == l2p_.end())
-            std::fill(sub.begin(), sub.end(), 0xff);
+        if (const nand::Ppa *ppa = mapped(lpn + i))
+            flash_.readPage(*ppa, sub);
         else
-            flash_.readPage(it->second, sub);
+            std::fill(sub.begin(), sub.end(), 0xff);
     }
 }
 
@@ -559,14 +608,12 @@ Ftl::prefetch(sim::Tick now, Lpn lpn, std::uint64_t count)
     if (lpn + count > logicalPages_)
         sim::fatal("FTL prefetch past logical capacity: lpn ", lpn, "+",
                    count);
-    std::vector<nand::Ppa> ppas;
-    ppas.reserve(count);
+    ioPpas_.clear();
     for (std::uint64_t i = 0; i < count; ++i) {
-        auto it = l2p_.find(lpn + i);
-        if (it != l2p_.end())
-            ppas.push_back(it->second);
+        if (const nand::Ppa *ppa = mapped(lpn + i))
+            ioPpas_.push_back(*ppa);
     }
-    return flash_.timedRead(now, ppas).iv;
+    return flash_.timedRead(now, ioPpas_).iv;
 }
 
 void

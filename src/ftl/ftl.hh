@@ -18,8 +18,8 @@
 #define BSSD_FTL_FTL_HH
 
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "nand/nand_flash.hh"
@@ -113,7 +113,7 @@ class Ftl
     void trim(Lpn lpn, std::uint64_t count);
 
     /** True if the logical page has ever been written (and not trimmed). */
-    bool isMapped(Lpn lpn) const { return l2p_.contains(lpn); }
+    bool isMapped(Lpn lpn) const { return mapped(lpn) != nullptr; }
 
     /** @name WAF accounting @{ */
     std::uint64_t hostPagesWritten() const { return hostPages_; }
@@ -191,12 +191,17 @@ class Ftl
     std::uint32_t pageSize_;
     std::uint64_t logicalPages_;
 
-    // Audited (DESIGN.md section 11): the mapping table is looked up
-    // and updated per-LPN; GC victim selection scans the ordered
-    // blocks_ vector, and relocation revalidates via l2p_.find(), so
-    // map order never reaches any output.
-    // bssd-lint: allow(det-unordered-member) keyed access only, never iterated
-    std::unordered_map<Lpn, nand::Ppa> l2p_;
+    /** @name The mapping table @{
+     * A dense LPN -> PPA table in two levels of small chunks, each
+     * allocated on the first write it covers: a leaf maps
+     * 2^l2pLeafShift LPNs, a directory 2^l2pDirShift leaves. A large
+     * logical space (128 GB on the dc/ull presets) thus costs memory
+     * only where it was written. Unmapped entries hold noPpa. */
+    static constexpr unsigned l2pLeafShift = 8;
+    static constexpr unsigned l2pDirShift = 10;
+    using L2pLeaf = std::unique_ptr<nand::Ppa[]>;
+    std::vector<std::unique_ptr<L2pLeaf[]>> l2p_;
+    /** @} */
     std::vector<BlockInfo> blocks_;
     std::vector<std::uint32_t> freeList_;
     /** Per-die open (frontier) block index into blocks_, or -1. */
@@ -228,6 +233,17 @@ class Ftl
     std::uint64_t gcSteps_ = 0;
     /** @} */
 
+    /** @name Reused buffers @{ */
+    /** The pages of the host read or write in progress. */
+    std::vector<nand::Ppa> ioPpas_;
+    /** One GC step's (or episode victim's) relocated pages. */
+    std::vector<nand::Ppa> gcSrc_;
+    std::vector<nand::Ppa> gcDst_;
+    /** Page buffers of relocate(), one per nesting depth. */
+    std::vector<std::vector<std::uint8_t>> relocBufs_;
+    std::size_t relocDepth_ = 0;
+    /** @} */
+
     sim::Histogram readLat_{"ftl.readLat"};
     sim::Histogram writeLat_{"ftl.writeLat"};
     sim::Histogram gcPause_{"ftl.gcPause"};
@@ -235,6 +251,20 @@ class Ftl
 
     std::uint32_t blockIndex(std::uint32_t die, std::uint32_t block) const;
     BlockInfo &blockOf(nand::Ppa ppa);
+
+    /** The PPA @p lpn maps to, or nullptr when it is unmapped. */
+    const nand::Ppa *mapped(Lpn lpn) const;
+    nand::Ppa *mapped(Lpn lpn);
+    /** Map @p lpn to @p ppa, allocating its table chunks if needed. */
+    void map(Lpn lpn, nand::Ppa ppa);
+
+    /**
+     * Copy the page @p lpn holds at @p src to a fresh location. Each
+     * nesting depth has its own buffer: a program failure inside
+     * writeOnePage() retires a block, whose own relocations must not
+     * overwrite the page still being written.
+     */
+    nand::Ppa relocate(Lpn lpn, nand::Ppa src, sim::Tick at);
 
     /**
      * Allocate the next physical page on the frontier. The frontier

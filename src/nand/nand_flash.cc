@@ -1,6 +1,8 @@
 #include "nand/nand_flash.hh"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 
 #include "sim/domain.hh"
 #include "sim/rng.hh"
@@ -9,6 +11,29 @@
 
 namespace bssd::nand
 {
+
+namespace
+{
+
+/**
+ * Frame chunks of destroyed arrays, by size, for the next array to
+ * take: a process that builds arrays one after another (a bench
+ * sweeping presets) then reuses their memory instead of faulting it in
+ * again after glibc returned it to the OS. Shared by every array and
+ * so by every engine thread; arrays touch it only to grow their own
+ * pool and at teardown. Frame contents never reach an output: a page's
+ * bytes are read only after its own program wrote them.
+ */
+struct ChunkCache
+{
+    std::mutex mu;
+    std::map<std::size_t, std::vector<std::unique_ptr<std::uint8_t[]>>>
+        bySize;
+};
+
+ChunkCache chunkCache;
+
+} // namespace
 
 NandConfig
 NandConfig::tlcDatacenter()
@@ -61,39 +86,108 @@ NandFlash::NandFlash(const NandConfig &cfg)
     }
     if (cfg_.factoryBadBlockRate < 0.0 || cfg_.factoryBadBlockRate > 0.2)
         sim::fatal("factory bad-block rate out of range");
+    const auto &g = cfg_.geometry;
+    const std::uint64_t blocks = std::uint64_t(g.totalDies()) * g.blocksPerDie;
+    if (blocks > ~std::uint32_t(0))
+        sim::fatal("NAND array has more than 2^32 blocks");
+    blockChunks_.resize(((blocks - 1) >> blockChunkShift) + 1);
+    badBits_.assign((blocks + 63) / 64, 0);
+    chunkBytes_ = std::size_t(framesPerChunk) * g.pageSize;
     // Deterministic factory defect map.
     if (cfg_.factoryBadBlockRate > 0.0) {
         sim::Rng rng(cfg_.badBlockSeed);
         for (std::uint32_t d = 0; d < cfg_.geometry.totalDies(); ++d)
             for (std::uint32_t b = 0; b < cfg_.geometry.blocksPerDie; ++b)
                 if (rng.chance(cfg_.factoryBadBlockRate))
-                    badBlocks_.insert(blockKey(d, b));
+                    markBad(d, b);
     }
+}
+
+const NandFlash::BlockState *
+NandFlash::findBlock(std::uint32_t idx) const
+{
+    const auto &chunk = blockChunks_[idx >> blockChunkShift];
+    return chunk ? &chunk[idx & ((1u << blockChunkShift) - 1)] : nullptr;
+}
+
+NandFlash::BlockState &
+NandFlash::blockAt(std::uint32_t idx)
+{
+    auto &chunk = blockChunks_[idx >> blockChunkShift];
+    if (!chunk)
+        chunk = std::make_unique<BlockState[]>(1u << blockChunkShift);
+    return chunk[idx & ((1u << blockChunkShift) - 1)];
+}
+
+NandFlash::~NandFlash()
+{
+    std::lock_guard<std::mutex> lock(chunkCache.mu);
+    auto &cached = chunkCache.bySize[chunkBytes_];
+    for (auto &chunk : frameChunks_)
+        cached.push_back(std::move(chunk));
+}
+
+std::uint32_t
+NandFlash::takeFrame()
+{
+    if (!freeFrames_.empty()) {
+        const std::uint32_t frame = freeFrames_.back();
+        freeFrames_.pop_back();
+        return frame;
+    }
+    if (nextFrame_ == frameChunks_.size() * framesPerChunk) {
+        std::unique_ptr<std::uint8_t[]> chunk;
+        {
+            std::lock_guard<std::mutex> lock(chunkCache.mu);
+            auto &cached = chunkCache.bySize[chunkBytes_];
+            if (!cached.empty()) {
+                chunk = std::move(cached.back());
+                cached.pop_back();
+            }
+        }
+        if (!chunk)
+            chunk.reset(new std::uint8_t[chunkBytes_]);
+        frameChunks_.push_back(std::move(chunk));
+    }
+    return nextFrame_++;
+}
+
+std::uint8_t *
+NandFlash::frameAt(std::uint32_t frame) const
+{
+    return frameChunks_[frame / framesPerChunk].get() +
+           std::size_t(frame % framesPerChunk) * cfg_.geometry.pageSize;
+}
+
+std::uint32_t
+NandFlash::frameOf(const BlockState *st, std::uint32_t page)
+{
+    return st && st->frames ? st->frames[page] : 0;
 }
 
 bool
 NandFlash::isBad(std::uint32_t die, std::uint32_t block) const
 {
-    return badBlocks_.contains(blockKey(die, block));
+    checkPpa(Ppa{die, block, 0});
+    const std::uint32_t idx = blockIndex(die, block);
+    return (badBits_[idx / 64] >> (idx % 64) & 1) != 0;
 }
 
 void
 NandFlash::markBad(std::uint32_t die, std::uint32_t block)
 {
     checkPpa(Ppa{die, block, 0});
-    badBlocks_.insert(blockKey(die, block));
+    const std::uint32_t idx = blockIndex(die, block);
+    const std::uint64_t bit = std::uint64_t(1) << (idx % 64);
+    if ((badBits_[idx / 64] & bit) == 0)
+        ++badCount_;
+    badBits_[idx / 64] |= bit;
 }
 
 std::uint32_t
 NandFlash::badBlockCount() const
 {
-    return static_cast<std::uint32_t>(badBlocks_.size());
-}
-
-std::uint64_t
-NandFlash::blockKey(std::uint32_t die, std::uint32_t block) const
-{
-    return (std::uint64_t(die) << 32) | block;
+    return badCount_;
 }
 
 void
@@ -111,27 +205,30 @@ void
 NandFlash::readPage(Ppa ppa, std::span<std::uint8_t> out) const
 {
     checkPpa(ppa);
-    if (out.size() < cfg_.geometry.pageSize)
+    const std::uint32_t ps = cfg_.geometry.pageSize;
+    if (out.size() < ps)
         sim::panic("readPage output buffer smaller than a page");
     pagesRead_.add();
-    auto it = pages_.find(ppa.packed());
-    if (it == pages_.end()) {
-        std::fill_n(out.begin(), cfg_.geometry.pageSize, 0xff);
+    const std::uint32_t frame =
+        frameOf(findBlock(blockIndex(ppa.die, ppa.block)), ppa.page);
+    if (frame == 0) {
+        std::fill_n(out.begin(), ps, 0xff);
         return;
     }
-    std::copy(it->second.begin(), it->second.end(), out.begin());
+    std::copy_n(frameAt(frame - 1), ps, out.begin());
 }
 
 bool
 NandFlash::programPage(Ppa ppa, std::span<const std::uint8_t> data)
 {
     checkPpa(ppa);
-    if (data.size() > cfg_.geometry.pageSize)
+    const std::uint32_t ps = cfg_.geometry.pageSize;
+    if (data.size() > ps)
         sim::panic("programPage data larger than a page");
     if (isBad(ppa.die, ppa.block))
         sim::panic("program to bad block ", ppa.block, " on die ",
                    ppa.die);
-    auto &blk = blocks_[blockKey(ppa.die, ppa.block)];
+    BlockState &blk = blockAt(blockIndex(ppa.die, ppa.block));
     if (ppa.page != blk.writePtr) {
         sim::panic("out-of-order NAND program: die ", ppa.die, " block ",
                    ppa.block, " page ", ppa.page, " expected ",
@@ -150,16 +247,20 @@ NandFlash::programPage(Ppa ppa, std::span<const std::uint8_t> data)
         programFails_.add();
         return false;
     }
-    auto &store = pages_[ppa.packed()];
-    store.assign(cfg_.geometry.pageSize, 0xff);
-    std::copy(data.begin(), data.end(), store.begin());
+    if (!blk.frames)
+        blk.frames =
+            std::make_unique<std::uint32_t[]>(cfg_.geometry.pagesPerBlock);
+    const std::uint32_t frame = takeFrame();
+    blk.frames[ppa.page] = frame + 1;
+    std::uint8_t *bytes = frameAt(frame);
+    std::copy(data.begin(), data.end(), bytes);
+    std::fill(bytes + data.size(), bytes + ps, 0xff);
     return true;
 }
 
 bool
 NandFlash::eraseBlock(std::uint32_t die, std::uint32_t block)
 {
-    checkPpa(Ppa{die, block, 0});
     if (isBad(die, block))
         sim::panic("erase of bad block ", block, " on die ", die);
     const bool fail = faults_ && faults_->failNandErase();
@@ -170,9 +271,16 @@ NandFlash::eraseBlock(std::uint32_t die, std::uint32_t block)
         return false;
     }
     blocksErased_.add();
-    auto &blk = blocks_[blockKey(die, block)];
-    for (std::uint32_t p = 0; p < blk.writePtr; ++p)
-        pages_.erase(Ppa{die, block, p}.packed());
+    BlockState &blk = blockAt(blockIndex(die, block));
+    if (blk.frames) {
+        // The block's frames go back to the pool; its page table stays
+        // for the next program, every page unprogrammed.
+        for (std::uint32_t p = 0; p < blk.writePtr; ++p) {
+            if (blk.frames[p] != 0)
+                freeFrames_.push_back(blk.frames[p] - 1);
+            blk.frames[p] = 0;
+        }
+    }
     blk.writePtr = 0;
     ++blk.eraseCount;
     return true;
@@ -182,21 +290,23 @@ bool
 NandFlash::isProgrammed(Ppa ppa) const
 {
     checkPpa(ppa);
-    return pages_.contains(ppa.packed());
+    return frameOf(findBlock(blockIndex(ppa.die, ppa.block)), ppa.page) != 0;
 }
 
 std::uint32_t
 NandFlash::writePointer(std::uint32_t die, std::uint32_t block) const
 {
-    auto it = blocks_.find(blockKey(die, block));
-    return it == blocks_.end() ? 0 : it->second.writePtr;
+    checkPpa(Ppa{die, block, 0});
+    const BlockState *st = findBlock(blockIndex(die, block));
+    return st ? st->writePtr : 0;
 }
 
 std::uint64_t
 NandFlash::eraseCount(std::uint32_t die, std::uint32_t block) const
 {
-    auto it = blocks_.find(blockKey(die, block));
-    return it == blocks_.end() ? 0 : it->second.eraseCount;
+    checkPpa(Ppa{die, block, 0});
+    const BlockState *st = findBlock(blockIndex(die, block));
+    return st ? st->eraseCount : 0;
 }
 
 sim::Tick

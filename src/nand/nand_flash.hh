@@ -2,10 +2,15 @@
  * @file
  * Functional + timing model of a multi-channel NAND flash array.
  *
- * The functional half stores real page contents (sparsely, so an
- * 800 GB array costs memory only for pages actually touched) and
- * enforces NAND programming rules: a page must belong to an erased
- * block and pages within a block must be programmed in order.
+ * The functional half stores real page contents and enforces NAND
+ * programming rules: a page must belong to an erased block and pages
+ * within a block must be programmed in order. Memory follows touched
+ * state, so an 800 GB array costs only what its pages hold: per-block
+ * state (a few bytes) lives in table chunks allocated on a block's
+ * first change, bad blocks in a bitmap, and each programmed page in a
+ * page frame from a device-wide pool of fixed-size frame chunks,
+ * taken by its program and handed back by its block's erase. A
+ * destroyed array's chunks go to the next array the process builds.
  *
  * The timing half models the channel -> way -> die topology: every
  * timed operation names the physical pages it touches and reserves
@@ -22,9 +27,8 @@
 #define BSSD_NAND_NAND_FLASH_HH
 
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "nand/die_sched.hh"
@@ -39,7 +43,7 @@
 namespace bssd::nand
 {
 
-/** Physical page address: (die, block, page) packed for map keys. */
+/** Physical page address: (die, block, page). */
 struct Ppa
 {
     std::uint32_t die = 0;
@@ -47,13 +51,6 @@ struct Ppa
     std::uint32_t page = 0;
 
     bool operator==(const Ppa &) const = default;
-
-    std::uint64_t
-    packed() const
-    {
-        return (std::uint64_t(die) << 48) | (std::uint64_t(block) << 24) |
-               page;
-    }
 };
 
 /** What one timed NAND operation was granted. */
@@ -79,6 +76,8 @@ class NandFlash
 {
   public:
     explicit NandFlash(const NandConfig &cfg);
+    /** Hands the array's frame chunks to the next array built. */
+    ~NandFlash();
 
     const NandConfig &config() const { return cfg_; }
 
@@ -111,7 +110,9 @@ class NandFlash
     /** True if the given page has been programmed since last erase. */
     bool isProgrammed(Ppa ppa) const;
 
-    /** Next page index to program in a block (pagesPerBlock if full). */
+    /** Next page index to program in a block (pagesPerBlock if full).
+     *  Panics on an out-of-range (die, block), as do eraseCount(),
+     *  isBad() and markBad(). */
     std::uint32_t writePointer(std::uint32_t die,
                                std::uint32_t block) const;
 
@@ -245,24 +246,40 @@ class NandFlash
   private:
     NandConfig cfg_;
 
-    /** Per-block metadata, allocated lazily. */
+    /** A block's state. All zero is a never-touched block. */
     struct BlockState
     {
         std::uint32_t writePtr = 0;
-        std::uint64_t eraseCount = 0;
+        std::uint32_t eraseCount = 0;
+        /** Frame + 1 holding each page, 0 for a page that holds no
+         *  data (unwritten, erased or failed), which reads 0xff.
+         *  Allocated at the block's first program. */
+        std::unique_ptr<std::uint32_t[]> frames;
     };
 
-    // Audited (DESIGN.md section 11): all three tables are accessed by
-    // packed-PPA/block key only - reads, programs and erases address
-    // explicit (die, block, page) coordinates and erase walks the
-    // block's writePtr range, so no iteration order can reach
-    // recovery, snapshot or report output.
-    // bssd-lint: allow(det-unordered-member) keyed access only, never iterated
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> pages_;
-    // bssd-lint: allow(det-unordered-member) keyed access only, never iterated
-    std::unordered_map<std::uint64_t, BlockState> blocks_;
-    // bssd-lint: allow(det-unordered-member) keyed membership probes only
-    std::unordered_set<std::uint64_t> badBlocks_;
+    /** Blocks per lazily allocated table chunk (log2). */
+    static constexpr unsigned blockChunkShift = 6;
+
+    /** Per-block state by blockIndex(), in chunks of
+     *  2^blockChunkShift blocks allocated on a block's first change;
+     *  a missing chunk reads as never-touched blocks. */
+    std::vector<std::unique_ptr<BlockState[]>> blockChunks_;
+    /** One bit per block, set when the block is bad. */
+    std::vector<std::uint64_t> badBits_;
+    std::uint32_t badCount_ = 0;
+
+    /** @name The page-frame pool @{
+     *  Frames are carved from chunks of framesPerChunk pages, never
+     *  initialised: a frame's bytes are written by the program that
+     *  takes it before any read can reach them. */
+    static constexpr std::uint32_t framesPerChunk = 16;
+    std::size_t chunkBytes_ = 0;
+    std::vector<std::unique_ptr<std::uint8_t[]>> frameChunks_;
+    /** Frames carved so far; frame f lives in chunk f / framesPerChunk. */
+    std::uint32_t nextFrame_ = 0;
+    /** Frames erased blocks handed back, reused before new ones. */
+    std::vector<std::uint32_t> freeFrames_;
+    /** @} */
 
     DieScheduler dies_;
     /** One FIFO bus calendar per channel, indexed by channelOf(). */
@@ -276,7 +293,22 @@ class NandFlash
     sim::Counter programFails_{"nand.programFails"};
     sim::Counter eraseFails_{"nand.eraseFails"};
 
-    std::uint64_t blockKey(std::uint32_t die, std::uint32_t block) const;
+    /** Dense block number: die * blocksPerDie + block. */
+    std::uint32_t blockIndex(std::uint32_t die, std::uint32_t block) const
+    {
+        return die * cfg_.geometry.blocksPerDie + block;
+    }
+    /** The state of block @p idx; nullptr when it was never touched. */
+    const BlockState *findBlock(std::uint32_t idx) const;
+    /** The state of block @p idx, allocating its chunk if needed. */
+    BlockState &blockAt(std::uint32_t idx);
+    /** A frame from the pool: a free one, else a new one carved from
+     *  the last chunk, or from a new chunk (one a destroyed array
+     *  left, if any). */
+    std::uint32_t takeFrame();
+    std::uint8_t *frameAt(std::uint32_t frame) const;
+    /** Frame + 1 holding @p page of the block in @p st, or 0. */
+    static std::uint32_t frameOf(const BlockState *st, std::uint32_t page);
     void checkPpa(Ppa ppa) const;
     sim::Tick pageTransferTime() const;
     TimedOp doTimedRead(sim::Tick ready, std::span<const Ppa> ppas,

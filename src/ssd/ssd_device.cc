@@ -272,19 +272,26 @@ SsdDevice::blockWrite(sim::Tick ready, std::uint64_t offset,
     if (tracer_)
         tracer_->phase("xfer", cpu, t);
 
-    // Unaligned head/tail: read-modify-write the surrounding pages.
-    std::vector<std::uint8_t> buf(pages * ps);
+    // Whole pages go to the FTL straight from the host's buffer; an
+    // unaligned head/tail is staged with a read-modify-write of the
+    // surrounding pages.
+    std::vector<std::uint8_t> buf;
+    std::span<const std::uint8_t> pageData = data;
     const bool head_partial = offset % ps != 0;
     const bool tail_partial = (offset + bytes) % ps != 0;
-    if (head_partial)
-        ftl_->readUntimed(lpn, 1, std::span(buf.data(), ps));
-    if (tail_partial && (pages > 1 || !head_partial)) {
-        ftl_->readUntimed(last, 1,
-                          std::span(buf.data() + (pages - 1) * ps, ps));
+    if (head_partial || tail_partial) {
+        buf.resize(pages * ps);
+        if (head_partial)
+            ftl_->readUntimed(lpn, 1, std::span(buf.data(), ps));
+        if (tail_partial && (pages > 1 || !head_partial)) {
+            ftl_->readUntimed(
+                last, 1, std::span(buf.data() + (pages - 1) * ps, ps));
+        }
+        std::copy(data.begin(), data.end(),
+                  buf.begin() +
+                      static_cast<std::ptrdiff_t>(offset - lpn * ps));
+        pageData = buf;
     }
-    std::copy(data.begin(), data.end(),
-              buf.begin() +
-                  static_cast<std::ptrdiff_t>(offset - lpn * ps));
 
     // The command completes when the data sits in the capacitor-backed
     // buffer; destage happens at the NAND drain rate behind the host's
@@ -298,7 +305,7 @@ SsdDevice::blockWrite(sim::Tick ready, std::uint64_t offset,
     // write triggers show up attributed to it, even though the host
     // sees only the buffer-admission latency (unless writeThrough,
     // where the command completes with the destage itself).
-    auto ftl_iv = ftl_->write(admitted, lpn, pages, buf);
+    auto ftl_iv = ftl_->write(admitted, lpn, pages, pageData);
     sim::Tick done = cfg_.writeThrough
         ? std::max(admitted, ftl_iv.end)
         : admitted;

@@ -29,8 +29,15 @@ BlockWal::append(sim::Tick now, std::span<const std::uint8_t> record)
         sim::fatal("block WAL region full; engine must checkpoint "
                    "before ", cfg_.regionBytes, " bytes of log");
     }
-    staged_.insert(staged_.end(), record.begin(), record.end());
-    appendPos_ += record.size();
+    // Grow the image a whole zeroed page at a time, so the log pages a
+    // commit writes are always complete in it.
+    const std::uint64_t end = appendPos_ + record.size();
+    const std::uint32_t ps = dev_.pageSize();
+    if (staged_.size() < end)
+        staged_.resize((end + ps - 1) / ps * ps, 0);
+    std::copy(record.begin(), record.end(),
+              staged_.begin() + static_cast<std::ptrdiff_t>(appendPos_));
+    appendPos_ = end;
     return now + sim::nsOf(60) +
            ((record.size() + 63) / 64) * cfg_.stageCostPerLine;
 }
@@ -53,16 +60,10 @@ BlockWal::commit(sim::Tick now)
     std::uint64_t last_page = (appendPos_ - 1) / ps;
     std::uint64_t len = (last_page - first_page + 1) * ps;
 
-    std::vector<std::uint8_t> pages(len, 0);
-    std::uint64_t have =
-        std::min<std::uint64_t>(appendPos_ - first_page * ps, len);
-    std::copy_n(staged_.begin() +
-                    static_cast<std::ptrdiff_t>(first_page * ps),
-                have, pages.begin());
-
     sim::Tick t = now + cfg_.writeSyscall;
-    auto iv = dev_.blockWrite(t, cfg_.regionOffset + first_page * ps,
-                              pages);
+    auto iv = dev_.blockWrite(
+        t, cfg_.regionOffset + first_page * ps,
+        std::span(staged_).subspan(first_page * ps, len));
     bytesWritten_ += len;
     t = iv.end + cfg_.fsyncSyscall;
     t = dev_.flush(t);

@@ -75,7 +75,8 @@ class BlockWal : public LogDevice
   private:
     ssd::SsdDevice &dev_;
     BlockWalConfig cfg_;
-    /** Host-memory image of the log (source of page writes). */
+    /** Host-memory image of the log, zero padded to a whole page:
+     *  commits write their pages straight from it. */
     std::vector<std::uint8_t> staged_;
     std::uint64_t appendPos_ = 0;
     std::uint64_t durablePos_ = 0;

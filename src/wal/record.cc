@@ -95,6 +95,15 @@ std::vector<std::uint8_t>
 frameRecord(std::uint64_t seq, std::span<const std::uint8_t> payload)
 {
     std::vector<std::uint8_t> frame;
+    frameRecord(frame, seq, payload);
+    return frame;
+}
+
+void
+frameRecord(std::vector<std::uint8_t> &frame, std::uint64_t seq,
+            std::span<const std::uint8_t> payload)
+{
+    frame.clear();
     frame.reserve(recordHeaderBytes + payload.size());
     put32(frame, static_cast<std::uint32_t>(payload.size()));
     put32(frame, 0); // the CRC, patched in below
@@ -105,7 +114,6 @@ frameRecord(std::uint64_t seq, std::span<const std::uint8_t> payload)
         crc32c(std::span<const std::uint8_t>(frame).subspan(8));
     for (int i = 0; i < 4; ++i)
         frame[4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-    return frame;
 }
 
 std::vector<ParsedRecord>

@@ -36,6 +36,11 @@ constexpr std::size_t recordHeaderBytes = 4 + 4 + 8;
 std::vector<std::uint8_t> frameRecord(std::uint64_t seq,
                                       std::span<const std::uint8_t> payload);
 
+/** frameRecord() into @p frame, replacing its contents and reusing its
+ *  capacity (hot paths keep one frame buffer per engine). */
+void frameRecord(std::vector<std::uint8_t> &frame, std::uint64_t seq,
+                 std::span<const std::uint8_t> payload);
+
 /**
  * Parse a durable log byte stream. Returns every valid record up to
  * the first invalid frame (torn write, erased area, stale data with a

@@ -464,3 +464,49 @@ TEST(Cluster, ShardPresetsArePinned)
         EXPECT_EQ(fnv1a(json), cell.metricsHash) << json;
     }
 }
+
+TEST(Cluster, PgGcFleetIsPinned)
+{
+    // perfbench's pg-gc fleet (8x minipg on the block WAL, GC preset),
+    // cut to 64 arrival cycles: long enough that every shard's NAND
+    // erases blocks, background GC steps run and the store checkpoints,
+    // so the pins cover the device and store paths that smallFleet()'s
+    // pg x block x gc cell (no erase, no GC step) never reaches.
+    ClusterConfig cfg;
+    cfg.shards = 8;
+    cfg.engine = ClusterConfig::Engine::pg;
+    cfg.wal = ClusterConfig::Wal::block;
+    cfg.gc = true;
+    cfg.opsPerCycle = 512;
+    cfg.cycles = 64;
+    cfg.keySpace = 16'384;
+    cfg.valueBytes = 64;
+    cfg.arrival.meanGap = sim::msOf(10);
+    cfg.seed = 1;
+    Cluster c(cfg);
+    c.run();
+    EXPECT_EQ(c.router().opsCompleted(), 64u * 512u);
+    EXPECT_EQ(c.stateDigest(), 0x02e24b974ecceed9ull);
+    EXPECT_EQ(fnv1a(c.metricsJson()), 0xf20bef75e5c0ad5bull);
+
+    // The block WAL's wal_bytes gauge counts every byte it ever wrote,
+    // so a checkpoint shows in the store's own count instead.
+    const sim::MetricsSnapshot snap = c.metricsSnapshot();
+    double erases = 0;
+    double steps = 0;
+    for (unsigned s = 0; s < cfg.shards; ++s) {
+        const std::string p = "shard" + std::to_string(s) + ".ssd.";
+        SCOPED_TRACE(p);
+        const sim::MetricValue *e = snap.find(p + "nand.blocks_erased");
+        const sim::MetricValue *g = snap.find(p + "ftl.gc.steps");
+        ASSERT_NE(e, nullptr);
+        ASSERT_NE(g, nullptr);
+        EXPECT_GT(e->value, 0.0);
+        EXPECT_GT(g->value, 0.0);
+        EXPECT_GT(c.shardCheckpoints(s), 0u);
+        erases += e->value;
+        steps += g->value;
+    }
+    EXPECT_EQ(erases, 2926.0);
+    EXPECT_EQ(steps, 2926.0);
+}

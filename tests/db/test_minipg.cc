@@ -13,10 +13,13 @@
 
 #include "ba/two_b_ssd.hh"
 #include "db/minipg/minipg.hh"
+#include "sim/fault.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "ssd/ssd_device.hh"
 #include "wal/ba_wal.hh"
 #include "wal/block_wal.hh"
+#include "wal/rig.hh"
 
 using namespace bssd;
 using namespace bssd::db::minipg;
@@ -333,4 +336,174 @@ TEST(MiniPg, NodeVisitorsSeeEveryNodeOnce)
                 << "visited twice: " << id;
         });
     EXPECT_EQ(seen, want);
+}
+
+TEST(MiniPg, UndoLogRecoveryMatchesAcknowledgedOps)
+{
+    // One seeded stream of node and link operations and multi-op
+    // transactions, on the GC preset with a log region small enough to
+    // checkpoint every few dozen commits, cut by a power loss at
+    // seeded durability hits. A cut can land after an operation
+    // changed the store but before its record is durable, so recovery
+    // must roll the undo logs back to the last checkpoint and redo the
+    // log: the result is the acknowledged state, or that state plus
+    // the operation in flight, both kept here in plain maps. A second
+    // recovery must land on the same state.
+    using Nodes = std::map<std::uint64_t, std::vector<std::uint8_t>>;
+    using Links = std::map<LinkKey, std::vector<std::uint8_t>>;
+    rigs::RigSpec spec = rigs::gcSpec(rigs::WalKind::block);
+    spec.regionBytes = 8 * sim::KiB;
+
+    auto matches = [](const MiniPg &pg, const Nodes &nodes,
+                      const Links &links) {
+        if (pg.nodeCount() != nodes.size() ||
+            pg.linkCount() != links.size()) {
+            return false;
+        }
+        Nodes got;
+        pg.forEachNodeSorted(
+            [&](std::uint64_t id, std::span<const std::uint8_t> v) {
+                got.emplace(id, std::vector<std::uint8_t>(v.begin(),
+                                                          v.end()));
+            });
+        if (got != nodes)
+            return false;
+        for (const auto &[key, value] : links) {
+            std::vector<std::uint8_t> out;
+            pg.getLink(0, key, &out);
+            if (!pg.hasLink(key) || out != value)
+                return false;
+        }
+        return true;
+    };
+
+    struct Outcome
+    {
+        std::uint64_t hits = 0;
+        std::uint64_t checkpoints = 0;
+    };
+    // Run the stream on a fresh rig, cut at durability hit @p cut
+    // unless @p cut is negative; returns the hits of an uncut run.
+    auto run = [&](std::int64_t cut) {
+        auto rig = rigs::makeRig(spec);
+        MiniPg pg(*rig.log);
+        sim::FaultInjector inj;
+        if (cut >= 0)
+            inj.armCrashAtHit(static_cast<std::uint64_t>(cut));
+        rig.installFaultInjector(&inj);
+        sim::Rng rng(2024);
+        auto anyPayload = [&] {
+            return payload(rng.nextBelow(48),
+                           static_cast<std::uint8_t>(rng.next()));
+        };
+        auto anyLink = [&] {
+            return LinkKey{rng.nextBelow(6),
+                           static_cast<std::uint32_t>(rng.nextBelow(2)),
+                           rng.nextBelow(6)};
+        };
+        Nodes nodes;
+        Links links;
+        Nodes nextNodes;
+        Links nextLinks;
+        sim::Tick t = sim::msOf(1);
+        try {
+            for (int op = 0; op < 1500; ++op) {
+                nextNodes = nodes;
+                nextLinks = links;
+                const std::uint64_t id = rng.nextBelow(24);
+                switch (rng.nextBelow(6)) {
+                  case 0:
+                  case 1: {
+                    const auto v = anyPayload();
+                    nextNodes[id] = v;
+                    t = rng.chance(0.5) ? pg.addNode(t, id, v)
+                                        : pg.updateNode(t, id, v);
+                    break;
+                  }
+                  case 2:
+                    nextNodes.erase(id);
+                    t = pg.deleteNode(t, id);
+                    break;
+                  case 3: {
+                    const LinkKey key = anyLink();
+                    if (rng.chance(0.7)) {
+                        const auto v = anyPayload();
+                        nextLinks[key] = v;
+                        t = pg.addLink(t, key, v);
+                    } else {
+                        nextLinks.erase(key);
+                        t = pg.deleteLink(t, key);
+                    }
+                    break;
+                  }
+                  default: {
+                    // Ids and links that single ops also hit, so one
+                    // commit can change an item twice.
+                    auto txn = pg.begin();
+                    Nodes n = nodes;
+                    Links l = links;
+                    const std::uint64_t ops = 1 + rng.nextBelow(4);
+                    for (std::uint64_t i = 0; i < ops; ++i) {
+                        const std::uint64_t tid = rng.nextBelow(24);
+                        const LinkKey key = anyLink();
+                        const auto v = anyPayload();
+                        switch (rng.nextBelow(4)) {
+                          case 0:
+                            t = txn.updateNode(t, tid, v);
+                            n[tid] = v;
+                            break;
+                          case 1:
+                            t = txn.deleteNode(t, tid);
+                            n.erase(tid);
+                            break;
+                          case 2:
+                            t = txn.addLink(t, key, v);
+                            l[key] = v;
+                            break;
+                          default:
+                            t = txn.deleteLink(t, key);
+                            l.erase(key);
+                            break;
+                        }
+                    }
+                    if (rng.chance(0.2)) {
+                        txn.abort();
+                    } else {
+                        nextNodes = std::move(n);
+                        nextLinks = std::move(l);
+                        t = txn.commit(t);
+                    }
+                    break;
+                  }
+                }
+                nodes = nextNodes;
+                links = nextLinks;
+            }
+        } catch (const sim::PowerCut &) {
+        }
+        if (cut < 0)
+            return Outcome{inj.totalHits(), pg.checkpoints()};
+        EXPECT_TRUE(inj.cutFired());
+        inj.disarm();
+        for (int recovery = 0; recovery < 2; ++recovery) {
+            rig.log->crash(t);
+            pg.recover();
+            EXPECT_TRUE(matches(pg, nodes, links) ||
+                        matches(pg, nextNodes, nextLinks))
+                << "recovery " << recovery;
+        }
+        return Outcome{0, pg.checkpoints()};
+    };
+
+    const Outcome uncut = run(-1);
+    ASSERT_GT(uncut.checkpoints, 10u);
+    // A cut before the first checkpoint (the image is the empty
+    // store), then cuts at seeded hits across the whole stream.
+    EXPECT_EQ(run(40).checkpoints, 0u);
+    sim::Rng cuts(7);
+    for (int i = 0; i < 40; ++i) {
+        const auto cut = static_cast<std::int64_t>(cuts.nextBelow(uncut.hits));
+        SCOPED_TRACE("cut at hit " + std::to_string(cut));
+        run(cut);
+    }
 }

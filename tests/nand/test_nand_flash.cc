@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "nand/nand_flash.hh"
+#include "sim/fault.hh"
 #include "sim/logging.hh"
 
 using namespace bssd;
@@ -125,6 +128,109 @@ TEST(NandFlash, OutOfRangePpaPanics)
     EXPECT_THROW(flash.readPage(Ppa{99, 0, 0}, out), sim::SimPanic);
     EXPECT_THROW(flash.readPage(Ppa{0, 99, 0}, out), sim::SimPanic);
     EXPECT_THROW(flash.readPage(Ppa{0, 0, 99}, out), sim::SimPanic);
+    // The per-block queries range-check too: an out-of-range (die,
+    // block) must not read some other block's state.
+    const auto &g = flash.config().geometry;
+    const std::uint32_t dies = g.totalDies();
+    const std::uint32_t blocks = g.blocksPerDie;
+    EXPECT_THROW(flash.writePointer(dies, 0), sim::SimPanic);
+    EXPECT_THROW(flash.writePointer(0, blocks), sim::SimPanic);
+    EXPECT_THROW(flash.eraseCount(dies, 0), sim::SimPanic);
+    EXPECT_THROW(flash.eraseCount(0, blocks), sim::SimPanic);
+    EXPECT_THROW(flash.isBad(dies, 0), sim::SimPanic);
+    EXPECT_THROW(flash.isBad(0, blocks), sim::SimPanic);
+    EXPECT_THROW(flash.markBad(0, blocks), sim::SimPanic);
+    EXPECT_THROW(flash.eraseBlock(dies, 0), sim::SimPanic);
+    EXPECT_EQ(flash.writePointer(dies - 1, blocks - 1), 0u);
+    EXPECT_EQ(flash.eraseCount(dies - 1, blocks - 1), 0u);
+    EXPECT_FALSE(flash.isBad(dies - 1, blocks - 1));
+}
+
+TEST(NandFlash, ReusedFramesHoldOnlyNewData)
+{
+    // Erased blocks hand their page frames back to the array's pool
+    // and later blocks program into them. A reused frame must show
+    // only what its new page was programmed with; pages whose program
+    // failed, and pages past the write pointer, must read erased even
+    // where the frame still holds an earlier block's bytes.
+    NandFlash flash(NandConfig::tiny());
+    const std::uint32_t ps = flash.config().geometry.pageSize;
+    const std::uint32_t ppb = flash.config().geometry.pagesPerBlock;
+    sim::FaultPlan plan;
+    // Program hits (one per programPage call, in order below): A's
+    // page 1 in round 1 (a fresh frame), D's page 2 in round 2 (a
+    // reused frame that held round-1 data).
+    plan.nandProgramFailHits = {1, 14};
+    // Erase hits: C's erase fails, so C keeps its pages.
+    plan.nandEraseFailHits = {2};
+    sim::FaultInjector faults(plan);
+    flash.setFaultInjector(&faults);
+
+    std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
+             std::vector<std::uint8_t>>
+        want;
+    std::uint8_t seed = 1;
+    auto program = [&](std::uint32_t die, std::uint32_t block,
+                       std::uint32_t first, std::uint32_t end,
+                       std::size_t bytes) {
+        for (std::uint32_t p = first; p < end; ++p) {
+            auto data = pattern(bytes, seed++);
+            if (flash.programPage(Ppa{die, block, p}, data)) {
+                data.resize(ps, 0xff);
+                want[{die, block, p}] = data;
+            }
+        }
+    };
+    auto erase = [&](std::uint32_t die, std::uint32_t block) {
+        const bool ok = flash.eraseBlock(die, block);
+        if (ok) {
+            for (std::uint32_t p = 0; p < ppb; ++p)
+                want.erase({die, block, p});
+        }
+        return ok;
+    };
+
+    // Round 1: A = (0,0) and B = (1,0) program five pages each, C =
+    // (2,0) two; A's page 1 fails. A and B are erased, C's erase fails.
+    program(0, 0, 0, 5, ps);
+    program(1, 0, 0, 5, ps);
+    program(2, 0, 0, 2, ps);
+    EXPECT_FALSE(flash.isProgrammed(Ppa{0, 0, 1}));
+    EXPECT_TRUE(erase(0, 0));
+    EXPECT_TRUE(erase(1, 0));
+    EXPECT_FALSE(erase(2, 0));
+    // Round 2 takes A's and B's frames back: D = (3,1) programs three
+    // pages, its page 2 failing; E = (0,2) five pages, the first one
+    // short of a page; then A programs one page into a new frame.
+    program(3, 1, 0, 3, ps);
+    program(0, 2, 0, 1, 100);
+    program(0, 2, 1, 5, ps);
+    program(0, 0, 0, 1, ps);
+    EXPECT_EQ(flash.programFailures(), 2u);
+    EXPECT_FALSE(flash.isProgrammed(Ppa{3, 1, 2}));
+
+    for (std::uint32_t d = 0; d < flash.config().geometry.totalDies(); ++d) {
+        for (std::uint32_t b = 0; b < flash.config().geometry.blocksPerDie;
+             ++b) {
+            for (std::uint32_t p = 0; p < ppb; ++p) {
+                SCOPED_TRACE(testing::Message() << "die " << d << " block "
+                                                << b << " page " << p);
+                std::vector<std::uint8_t> out(ps, 0);
+                flash.readPage(Ppa{d, b, p}, out);
+                const auto it = want.find({d, b, p});
+                EXPECT_EQ(flash.isProgrammed(Ppa{d, b, p}),
+                          it != want.end());
+                if (it != want.end())
+                    EXPECT_EQ(out, it->second);
+                else
+                    EXPECT_EQ(out, std::vector<std::uint8_t>(ps, 0xff));
+            }
+        }
+    }
+    EXPECT_EQ(flash.eraseCount(0, 0), 1u);
+    EXPECT_EQ(flash.eraseCount(2, 0), 0u);
+    EXPECT_EQ(flash.writePointer(3, 1), 3u);
+    EXPECT_EQ(flash.writePointer(2, 0), 2u);
 }
 
 TEST(NandFlash, CountsOperations)
