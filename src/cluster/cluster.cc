@@ -1,11 +1,14 @@
 #include "cluster/cluster.hh"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -26,17 +29,18 @@ namespace
 constexpr sim::Tick kDrainPoll = sim::usOf(100);
 
 /**
- * Deterministic value payload for key @p key: byte i is key + i.
- * verifyConsistency() re-derives this pattern, which is what proves
- * the rebalance copy path moved the actual bytes.
+ * Deterministic value payload for key @p key, written into @p buf:
+ * byte i is key + i. verifyConsistency() re-derives this pattern,
+ * which is what proves the rebalance copy path moved the actual bytes.
  */
-std::vector<std::uint8_t>
-valueFor(std::uint64_t key, std::uint32_t bytes)
+std::span<const std::uint8_t>
+valueFor(std::vector<std::uint8_t> &buf, std::uint64_t key,
+         std::uint32_t bytes)
 {
-    std::vector<std::uint8_t> v(bytes);
-    for (std::size_t i = 0; i < v.size(); ++i)
-        v[i] = static_cast<std::uint8_t>(key + i);
-    return v;
+    buf.resize(bytes);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(key + i);
+    return buf;
 }
 
 /** Index of the first byte of @p value off valueFor()'s pattern for
@@ -56,6 +60,84 @@ redisKey(std::uint64_t key)
 {
     return "k" + std::to_string(key);
 }
+
+/**
+ * Group prefetching over one redis shard batch (Chen et al., ICDE
+ * 2004): the misses of the next ops overlap the current op's work.
+ * Each op's key text is written and hashed once, kSlotAhead ops before
+ * it runs, and its home slot prefetched; kEntryAhead ops before, the
+ * now-cached slot names the entry to prefetch; kValueAhead ops before
+ * a SET, its value buffer, which the pre-image copy and the overwrite
+ * touch. The keys live in a ring sized to the lookahead, whatever the
+ * batch's length.
+ */
+class KeyPipeline
+{
+  public:
+    using HashedKey = db::miniredis::MiniRedis::HashedKey;
+
+    KeyPipeline(const db::miniredis::MiniRedis &store,
+                const std::vector<host::RouterOp> &ops)
+        : store_(store), ops_(ops)
+    {
+        for (std::size_t j = 0; j < std::min(ops_.size(), kSlotAhead); ++j)
+            stage(j);
+        for (std::size_t j = 0; j < std::min(ops_.size(), kEntryAhead); ++j)
+            store_.prefetchEntry(ring_[j % kSize].key);
+    }
+
+    /** Op @p i's key, after starting the prefetches of the ops ahead
+     *  of it; called for i = 0, 1, ... in turn. */
+    const HashedKey &
+    key(std::size_t i)
+    {
+        const std::size_t n = ops_.size();
+        if (i + kSlotAhead < n)
+            stage(i + kSlotAhead);
+        if (i + kEntryAhead < n)
+            store_.prefetchEntry(ring_[(i + kEntryAhead) % kSize].key);
+        if (i + kValueAhead < n &&
+            ops_[i + kValueAhead].kind == host::RouterOp::Kind::set) {
+            store_.prefetchValue(ring_[(i + kValueAhead) % kSize].key);
+        }
+        return ring_[i % kSize].key;
+    }
+
+  private:
+    static constexpr std::size_t kSlotAhead = 8;
+    static constexpr std::size_t kEntryAhead = 4;
+    static constexpr std::size_t kValueAhead = 2;
+    /** Ops i..i+kSlotAhead are live. */
+    static constexpr std::size_t kSize = 16;
+    static_assert(kSize > kSlotAhead && kSlotAhead > kEntryAhead &&
+                  kEntryAhead > kValueAhead);
+
+    struct Slot
+    {
+        /** redisKey(): "k" and up to 20 decimal digits. */
+        std::array<char, 24> text;
+        HashedKey key;
+    };
+
+    /** Write and hash op @p j's key, and prefetch its home slot. */
+    void
+    stage(std::size_t j)
+    {
+        Slot &s = ring_[j % kSize];
+        s.text[0] = 'k';
+        const char *end = std::to_chars(s.text.data() + 1,
+                                        s.text.data() + s.text.size(),
+                                        ops_[j].key)
+                              .ptr;
+        s.key = db::miniredis::MiniRedis::hashed(std::string_view(
+            s.text.data(), static_cast<std::size_t>(end - s.text.data())));
+        store_.prefetchSlot(s.key);
+    }
+
+    const db::miniredis::MiniRedis &store_;
+    const std::vector<host::RouterOp> &ops_;
+    std::array<Slot, kSize> ring_;
+};
 
 /** Router key of a Redis key text (redisKey()'s inverse). */
 std::uint64_t
@@ -123,6 +205,8 @@ struct Cluster::Shard
     sim::Tracer tracer;
     /** Shard-local service clock: batches queue behind each other. */
     sim::Tick clock = 0;
+    /** The SET value being written (valueFor()). */
+    std::vector<std::uint8_t> value;
 
     sim::Domain &
     domain()
@@ -301,7 +385,11 @@ Cluster::makeExec()
         Shard &sh = *shards_[s];
         sim::Tick t = std::max(start, sh.clock);
         opDone.reserve(ops.size());
-        for (const host::RouterOp &op : ops) {
+        std::optional<KeyPipeline> keys;
+        if (sh.redis)
+            keys.emplace(*sh.redis, ops);
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            const host::RouterOp &op = ops[i];
             // Scope the op's request identity around its execution:
             // the exec span adopts the trace and cross-links to the
             // op's (future) root span in the host tracer, and every
@@ -313,10 +401,10 @@ Cluster::makeExec()
                 execSpan = sh.tracer.beginSpan("shard", "exec", t);
             }
             if (sh.redis) {
-                const std::string key = redisKey(op.key);
+                const KeyPipeline::HashedKey &key = keys->key(i);
                 if (op.kind == host::RouterOp::Kind::set) {
                     t = sh.redis->set(
-                        t, key, valueFor(op.key, op.valueBytes));
+                        t, key, valueFor(sh.value, op.key, op.valueBytes));
                 } else {
                     t = sh.redis->get(t, key);
                 }
@@ -325,7 +413,8 @@ Cluster::makeExec()
                 // onto it for both fresh and existing ids.
                 if (op.kind == host::RouterOp::Kind::set) {
                     t = sh.pg->addNode(
-                        t, op.key, valueFor(op.key, op.valueBytes));
+                        t, op.key,
+                        valueFor(sh.value, op.key, op.valueBytes));
                 } else {
                     t = sh.pg->getNode(t, op.key);
                 }

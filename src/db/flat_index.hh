@@ -48,6 +48,18 @@ struct MixHash64
     }
 };
 
+/** Start loading the cache lines of @p *p: the lines of its first and
+ *  last byte, so an object of up to 64 bytes that straddles two lines
+ *  (an entry of a 16-byte-aligned vector may) is covered. A hint only. */
+template <class T>
+void
+prefetchObject(const T *p)
+{
+    const auto *b = reinterpret_cast<const char *>(p);
+    __builtin_prefetch(b);
+    __builtin_prefetch(b + sizeof(T) - 1);
+}
+
 /**
  * The index. @p Entry has a member `key` and is default-constructible;
  * emplace() starts the other members at their defaults. @p Hash maps a
@@ -74,9 +86,18 @@ class FlatIndex
     std::size_t
     slotOf(const Q &key) const
     {
+        return slotOf(key, Hash{}(key));
+    }
+
+    /** slotOf() for a key whose Hash{}(key) the caller has already
+     *  computed; every lookup below has the same overload. */
+    template <class Q>
+    std::size_t
+    slotOf(const Q &key, std::uint64_t hash) const
+    {
         if (slots_.empty())
             return noSlot;
-        const std::size_t i = probe(key, Hash{}(key));
+        const std::size_t i = probe(key, hash);
         return slots_[i] == 0 ? noSlot : i;
     }
 
@@ -89,18 +110,32 @@ class FlatIndex
 
     template <class Q>
     Entry *
+    find(const Q &key, std::uint64_t hash)
+    {
+        const std::size_t slot = slotOf(key, hash);
+        return slot == noSlot ? nullptr : &at(slot);
+    }
+
+    template <class Q>
+    const Entry *
+    find(const Q &key, std::uint64_t hash) const
+    {
+        const std::size_t slot = slotOf(key, hash);
+        return slot == noSlot ? nullptr : &at(slot);
+    }
+
+    template <class Q>
+    Entry *
     find(const Q &key)
     {
-        const std::size_t slot = slotOf(key);
-        return slot == noSlot ? nullptr : &at(slot);
+        return find(key, Hash{}(key));
     }
 
     template <class Q>
     const Entry *
     find(const Q &key) const
     {
-        const std::size_t slot = slotOf(key);
-        return slot == noSlot ? nullptr : &at(slot);
+        return find(key, Hash{}(key));
     }
 
     /** The entry of @p key, appended with its other members default
@@ -109,7 +144,13 @@ class FlatIndex
     std::pair<Entry *, bool>
     emplace(const Q &key)
     {
-        const std::uint64_t hash = Hash{}(key);
+        return emplace(key, Hash{}(key));
+    }
+
+    template <class Q>
+    std::pair<Entry *, bool>
+    emplace(const Q &key, std::uint64_t hash)
+    {
         if (slots_.empty())
             grow();
         std::size_t i = probe(key, hash);
@@ -160,6 +201,44 @@ class FlatIndex
 
     /** Slots allocated (a power of two, or 0 before the first key). */
     std::size_t slotCount() const { return slots_.size(); }
+
+    /** @name Prefetch hints (group prefetching, DESIGN.md section 13)
+     *
+     * A batch that knows its next keys starts their cache misses a few
+     * lookups early: first the slot a key's hash homes on, then, once
+     * that line has landed, the entry the slot's tag points at. A hint
+     * changes nothing and reads only what the lookup reads; one made
+     * stale by the changes in between costs a cache line, not a
+     * result.
+     * @{ */
+
+    /** Start loading the slot a key with hash @p hash homes on. */
+    void
+    prefetchSlot(std::uint64_t hash) const
+    {
+        if (!slots_.empty())
+            __builtin_prefetch(&slots_[hash >> slotShift_]);
+    }
+
+    /** Start loading the entry of the first slot from @p hash's home
+     *  whose tag matches; nothing when the probe meets an empty slot
+     *  first. */
+    void
+    prefetchEntry(std::uint64_t hash) const
+    {
+        if (slots_.empty())
+            return;
+        const std::size_t mask = slots_.size() - 1;
+        const std::uint64_t tag = hash & ~indexMask;
+        for (std::size_t i = hash >> slotShift_; slots_[i] != 0;
+             i = (i + 1) & mask) {
+            if ((slots_[i] & ~indexMask) == tag) {
+                prefetchObject(&entries_[indexAt(i)]);
+                return;
+            }
+        }
+    }
+    /** @} */
 
   private:
     /** A slot's low 32 bits: entry index + 1 (0 = empty slot). */

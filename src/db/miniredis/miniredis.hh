@@ -15,12 +15,18 @@
  * the live dataset when the region fills. The snapshot is never
  * copied: the store keeps an undo log of the pre-images of the keys
  * changed since the rewrite, and recovery rolls those back to reach
- * the snapshot before it replays the AOF suffix.
+ * the snapshot before it replays the AOF suffix. The pre-images are
+ * copied into fixed-size byte blocks, so a changed key keeps its value
+ * buffer and a rewrite frees a few blocks.
  *
  * The dataset lives in the stores' flat index (db/flat_index.hh): a
  * dense vector of entries (key, value, rewrite stamp) behind
  * open-addressed slots, whose entry order, the only order a scan
  * sees, follows from the command sequence alone.
+ *
+ * A command on an existing key allocates nothing once the buffers have
+ * grown: it is encoded and framed in member buffers, and a SET
+ * overwrites its entry's value buffer in place.
  */
 
 #ifndef BSSD_DB_MINIREDIS_MINIREDIS_HH
@@ -28,6 +34,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -58,10 +65,41 @@ struct RedisConfig
 class MiniRedis
 {
   public:
+    /** A key with its index hash, computed once by hashed(). A caller
+     *  that knows its next keys hashes each ahead of its command, for
+     *  the prefetch hints and for the command's own lookup. */
+    struct HashedKey
+    {
+        std::string_view text;
+        std::uint64_t hash = 0;
+    };
+
+    static HashedKey
+    hashed(std::string_view key)
+    {
+        return {key, std::hash<std::string_view>{}(key)};
+    }
+
+    /** Bytes the undo log spends on one pre-image (see undoBytes()). */
+    static constexpr std::size_t
+    preImageBytes(std::size_t keyBytes, std::size_t valueBytes)
+    {
+        return PreImageLog::recordBytes(keyBytes, valueBytes);
+    }
+
+    /** Size of the undo log's byte blocks. */
+    static constexpr std::size_t undoBlockBytes = 16 * 1024;
+
     MiniRedis(wal::LogDevice &aof, const RedisConfig &cfg = {});
 
     /** SET key value. @return completion (durable) time. */
     sim::Tick set(sim::Tick now, const std::string &key,
+                  std::span<const std::uint8_t> value)
+    {
+        return set(now, hashed(key), value);
+    }
+
+    sim::Tick set(sim::Tick now, const HashedKey &key,
                   std::span<const std::uint8_t> value);
 
     /** DEL key. */
@@ -79,7 +117,34 @@ class MiniRedis
     /** GET key. */
     sim::Tick get(sim::Tick now, const std::string &key,
                   std::optional<std::vector<std::uint8_t>> *out = nullptr)
+        const
+    {
+        return get(now, hashed(key), out);
+    }
+
+    sim::Tick get(sim::Tick now, const HashedKey &key,
+                  std::optional<std::vector<std::uint8_t>> *out = nullptr)
         const;
+
+    /** @name Prefetch hints for an upcoming command on @p key
+     *  (db::FlatIndex's): the slot first, the entry a few commands
+     *  later. They change nothing. @{ */
+    void prefetchSlot(const HashedKey &key) const
+    {
+        index_.prefetchSlot(key.hash);
+    }
+    void prefetchEntry(const HashedKey &key) const
+    {
+        index_.prefetchEntry(key.hash);
+    }
+    /** For a SET, whose pre-image and new bytes go through the value
+     *  buffer: once the entry has landed, start loading its value. */
+    void prefetchValue(const HashedKey &key) const
+    {
+        if (const Entry *e = index_.find(key.text, key.hash))
+            __builtin_prefetch(e->value.data());
+    }
+    /** @} */
 
     /** Replay the durable AOF after a crash. */
     void recover();
@@ -92,6 +157,8 @@ class MiniRedis
     }
     std::uint64_t aofRewrites() const { return rewrites_.value(); }
     std::uint64_t commandsProcessed() const { return commands_.value(); }
+    /** Bytes of pre-images logged since the last AOF rewrite. */
+    std::size_t undoBytes() const { return undo_.bytes(); }
 
     /**
      * Order-independent digest of the live dataset (FNV-1a over the
@@ -135,12 +202,46 @@ class MiniRedis
         std::uint64_t logged = 0;
     };
 
-    /** A key as the current rewrite generation found it: its bytes,
-     *  or nullopt when it was absent. */
-    struct PreImage
+    /**
+     * The keys as the current rewrite generation found them, in change
+     * order: each a record of its bytes, or of its absence. Records
+     * are copied end to end into undoBlockBytes blocks, running on
+     * across a block's end, and blocks are never reallocated, so
+     * logging allocates only when a block fills. A record is
+     * [u32 key bytes][u32 value bytes + 1, 0 = absent][key][value]
+     * [u32 record bytes]; the trailing length walks the log newest
+     * first.
+     */
+    class PreImageLog
     {
-        std::string key;
-        std::optional<std::vector<std::uint8_t>> value;
+      public:
+        static constexpr std::size_t
+        recordBytes(std::size_t keyBytes, std::size_t valueBytes)
+        {
+            return 3 * 4 + keyBytes + valueBytes;
+        }
+
+        /** Log @p key's pre-image: @p value, or absent when null. */
+        void add(std::string_view key,
+                 const std::vector<std::uint8_t> *value);
+
+        /** Visit every record newest first: fn(key, value or null). */
+        void forEachNewestFirst(
+            const std::function<void(const std::string &,
+                                     const std::vector<std::uint8_t> *)>
+                &fn) const;
+
+        /** Drop every record; keeps the first block for the next. */
+        void clear();
+
+        std::size_t bytes() const { return bytes_; }
+
+      private:
+        void write(const void *src, std::size_t n);
+        void read(std::size_t pos, void *dst, std::size_t n) const;
+
+        std::vector<std::unique_ptr<std::uint8_t[]>> blocks_;
+        std::size_t bytes_ = 0;
     };
 
     wal::LogDevice &aof_;
@@ -154,28 +255,43 @@ class MiniRedis
     /** The live dataset. */
     db::FlatIndex<Entry, std::hash<std::string_view>> index_;
     std::uint64_t seq_ = 0;
-    /** Pre-images of the keys changed since the last AOF rewrite, in
-     *  change order: undone in reverse, they restore the dataset the
-     *  rewrite captured. */
-    std::vector<PreImage> undo_;
+    /** Pre-images of the keys changed since the last AOF rewrite:
+     *  undone newest first, they restore the dataset the rewrite
+     *  captured. */
+    PreImageLog undo_;
     /** Current rewrite generation (entries start unstamped at 0). */
     std::uint64_t generation_ = 1;
     /** First sequence number after the last AOF rewrite. */
     std::uint64_t snapshotSeq_ = 0;
 
+    /** @name Reused command buffers @{ */
+    std::vector<std::uint8_t> cmd_;
+    std::vector<std::uint8_t> frame_;
+    /** @} */
+
     sim::Counter rewrites_{"miniredis.aofRewrites"};
     sim::Counter commands_{"miniredis.commands"};
 
     sim::Tick cpu(sim::Tick now, std::size_t bytes) const;
-    sim::Tick logCommand(sim::Tick now,
-                         std::span<const std::uint8_t> payload);
+    /** Encode one command into cmd_. */
+    void encode(std::uint8_t cmd, std::string_view key,
+                std::span<const std::uint8_t> value);
+    /** Frame cmd_ as the next record, append and commit it. */
+    sim::Tick logCommand(sim::Tick now);
     sim::Tick maybeRewriteAof(sim::Tick now);
     /** Replay one AOF command (recovery only). */
     void apply(std::span<const std::uint8_t> payload);
     /** @name Dataset changes, each undo-logged @{ */
-    void put(const std::string &key, std::span<const std::uint8_t> value);
-    void erase(const std::string &key);
+    void put(const HashedKey &key, std::span<const std::uint8_t> value);
+    void erase(const HashedKey &key);
     /** @} */
+    /** References to the entries in sorted key order. */
+    struct Ref
+    {
+        std::uint64_t prefix;
+        const Entry *e;
+    };
+    std::vector<Ref> sortedRefs() const;
 };
 
 } // namespace bssd::db::miniredis

@@ -81,15 +81,13 @@ SeriesTable::merge(const GaugeSampler &s)
     }
     // Join on tick: samplers pumped from the same driver loop sample
     // at identical ticks, so rows line up; a tick only one sampler
-    // recorded becomes its own (padded) row, kept sorted.
+    // recorded becomes its own (padded) row, kept sorted. A sampler's
+    // ticks ascend, so each row's search resumes where the previous
+    // row landed.
+    std::size_t pos = 0;
     for (const GaugeSampler::Row &src : s.rows()) {
-        std::size_t pos = rows.size();
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            if (rows[i].at >= src.at) {
-                pos = i;
-                break;
-            }
-        }
+        while (pos < rows.size() && rows[pos].at < src.at)
+            ++pos;
         if (pos == rows.size() || rows[pos].at != src.at) {
             Row fresh;
             fresh.at = src.at;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "db/flat_index.hh"
 #include "sim/rng.hh"
@@ -137,4 +138,81 @@ TEST(FlatIndex, WrappingProbeChainsMatchAMapModel)
     // Every key homes on the last slot: chains wrap to slot 0, and a
     // delete's backward shift moves slots across the wrap.
     runModel<WrapHash>(48, 4000, 13, 1);
+}
+
+namespace
+{
+
+/** Homes every key below 2^(32 - log2(slots)) on the last slot, with
+ *  a distinct tag per key: a probe walks past the other keys' slots,
+ *  around the array's end, to its own. */
+struct ChainHash
+{
+    std::uint64_t
+    operator()(std::uint64_t key) const
+    {
+        return ~std::uint64_t(0) - (key << 32);
+    }
+};
+
+/** Every slot, and the entry each key in [0, keySpace) finds. */
+template <class Index>
+std::vector<std::uint64_t>
+lookups(const Index &index, std::uint64_t keySpace)
+{
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t k = 0; k < keySpace; ++k) {
+        const Entry *e = index.find(k);
+        out.push_back(index.slotOf(k));
+        out.push_back(e ? e->value : ~std::uint64_t(0));
+    }
+    return out;
+}
+
+/** Call both hints for every key in [0, keySpace), present or not,
+ *  and check they changed nothing a caller can see. */
+template <class Index, class Hash>
+void
+expectHintsChangeNothing(const Index &index, std::uint64_t keySpace)
+{
+    const std::size_t size = index.size();
+    const std::size_t slots = index.slotCount();
+    const std::vector<std::uint64_t> before = lookups(index, keySpace);
+    for (std::uint64_t k = 0; k < keySpace; ++k) {
+        index.prefetchSlot(Hash{}(k));
+        index.prefetchEntry(Hash{}(k));
+    }
+    EXPECT_EQ(index.size(), size);
+    EXPECT_EQ(index.slotCount(), slots);
+    EXPECT_EQ(lookups(index, keySpace), before);
+}
+
+} // namespace
+
+TEST(FlatIndex, PrefetchHintsChangeNothing)
+{
+    // An empty index has no slots to read.
+    db::FlatIndex<Entry, db::MixHash64> empty;
+    expectHintsChangeNothing<decltype(empty), db::MixHash64>(empty, 64);
+    EXPECT_EQ(empty.slotCount(), 0u);
+
+    // A probe chain from the last slot that wraps to slot 0: 7 keys in
+    // 16 slots fill slots 15 and 0..5, so the last key's hint walks
+    // the whole chain across the wrap. Keys 7..9 are absent; their
+    // hints walk it to the empty slot that ends it.
+    db::FlatIndex<Entry, ChainHash> chain;
+    for (std::uint64_t k = 0; k < 7; ++k)
+        chain.emplace(k).first->value = 100 + k;
+    ASSERT_EQ(chain.slotCount(), 16u);
+    EXPECT_EQ(chain.slotOf(std::uint64_t(0)), 15u);
+    EXPECT_EQ(chain.slotOf(std::uint64_t(6)), 5u);
+    expectHintsChangeNothing<decltype(chain), ChainHash>(chain, 10);
+
+    // A populated index after deletes, hints on present and absent ids.
+    db::FlatIndex<Entry, db::MixHash64> mixed;
+    for (std::uint64_t k = 0; k < 300; ++k)
+        mixed.emplace(k).first->value = k * 3;
+    for (std::uint64_t k = 0; k < 300; k += 4)
+        mixed.removeAt(mixed.slotOf(k));
+    expectHintsChangeNothing<decltype(mixed), db::MixHash64>(mixed, 400);
 }

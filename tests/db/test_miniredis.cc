@@ -527,6 +527,20 @@ class CuttableAof final : public wal::LogDevice
     wal::LogDevice &log_;
 };
 
+/** @p r holds exactly @p want, digest included. */
+void
+expectStoreEquals(const MiniRedis &r, const Dataset &want)
+{
+    ASSERT_EQ(r.keys(), want.size());
+    for (const auto &[key, value] : want) {
+        std::optional<std::vector<std::uint8_t>> got;
+        r.get(0, key, &got);
+        ASSERT_TRUE(got.has_value()) << key;
+        EXPECT_EQ(*got, value) << key;
+    }
+    EXPECT_EQ(r.contentHash(), hashOf(want));
+}
+
 } // namespace
 
 TEST(MiniRedis, UndoLogRecoveryMatchesAcknowledgedCommands)
@@ -543,17 +557,6 @@ TEST(MiniRedis, UndoLogRecoveryMatchesAcknowledgedCommands)
     Dataset model, image;
     sim::Rng rng(12);
     sim::Tick t = sim::msOf(1);
-
-    auto expectStoreEquals = [&](const Dataset &want) {
-        ASSERT_EQ(r.keys(), want.size());
-        for (const auto &[key, value] : want) {
-            std::optional<std::vector<std::uint8_t>> got;
-            r.get(0, key, &got);
-            ASSERT_TRUE(got.has_value()) << key;
-            EXPECT_EQ(*got, value) << key;
-        }
-        EXPECT_EQ(r.contentHash(), hashOf(want));
-    };
 
     // The cases an undo log can get wrong. Each counts when a power
     // cut lands later in the same rewrite interval (or on the case's
@@ -671,7 +674,7 @@ TEST(MiniRedis, UndoLogRecoveryMatchesAcknowledgedCommands)
         if (rng.chance(0.3)) {
             aof.hideSuffix = true;
             r.recover();
-            expectStoreEquals(image);
+            expectStoreEquals(r, image);
             if (HasFatalFailure())
                 return;
             ++imageRecoveries;
@@ -681,13 +684,13 @@ TEST(MiniRedis, UndoLogRecoveryMatchesAcknowledgedCommands)
             r.recover();
             ++doubleRecoveries;
         }
-        expectStoreEquals(model);
+        expectStoreEquals(r, model);
         if (HasFatalFailure())
             return;
         recovered = true;
         sinceRecovery = 0;
     }
-    expectStoreEquals(model);
+    expectStoreEquals(r, model);
 
     EXPECT_GE(r.aofRewrites(), 3u);
     EXPECT_GT(covered[delPreRewrite], 0);
@@ -701,4 +704,119 @@ TEST(MiniRedis, UndoLogRecoveryMatchesAcknowledgedCommands)
     EXPECT_GT(imageRecoveries, 0);
     RecordProperty("rewrites", static_cast<int>(r.aofRewrites()));
     RecordProperty("first_change_cuts", firstChangeCuts);
+}
+
+TEST(MiniRedis, PreImageBlocksRecoverAcrossRewrites)
+{
+    // The undo log copies pre-images into fixed-size blocks, and a
+    // record runs on across a block's end. Cover the records at those
+    // ends: an empty value, a pre-image that exactly fills a block, one
+    // that starts the next block, and a value larger than a block (the
+    // block WAL takes records that big). Then overwrite and delete them
+    // across several rewrites. Every round ends in a power cut, some
+    // inside a command's append, and recovery must show the rewrite's
+    // image (AOF suffix hidden) and the model of the durable commands,
+    // also when it runs twice.
+    constexpr std::size_t block = MiniRedis::undoBlockBytes;
+    // "fill"'s pre-image is exactly one block.
+    constexpr std::size_t fillBytes = block - MiniRedis::preImageBytes(4, 0);
+    static_assert(MiniRedis::preImageBytes(4, fillBytes) == block);
+    constexpr std::size_t bigBytes = block + block / 4;
+    const std::size_t sizes[] = {0, 1, 100, fillBytes, bigBytes};
+
+    ssd::SsdDevice dev(ssd::SsdConfig::tiny());
+    wal::BlockWal log(dev, tinyAof());
+    CuttableAof aof(log);
+    MiniRedis r(aof);
+    Dataset model, image;
+    sim::Rng rng(21);
+    sim::Tick t = sim::msOf(1);
+    std::uint8_t round = 0;
+
+    // SET @p key to @p bytes bytes; a SET cut at its append changed the
+    // store but is not durable, so the model keeps the old value.
+    auto set = [&](const std::string &key, std::size_t bytes,
+                   bool cut = false) {
+        std::vector<std::uint8_t> v(bytes);
+        for (std::size_t i = 0; i < v.size(); ++i)
+            v[i] = static_cast<std::uint8_t>(round * 31 + i);
+        aof.cutAppend = cut;
+        try {
+            t = r.set(t, key, v);
+        } catch (const CutInsideAof &) {
+            return;
+        }
+        model[key] = v;
+    };
+    auto del = [&](const std::string &key) {
+        t = r.del(t, key);
+        model.erase(key);
+    };
+    // Pad the AOF until the store rewrites it: the undo log restarts
+    // empty and the dataset becomes the image recovery rolls back to.
+    auto rewrite = [&] {
+        const std::uint64_t before = r.aofRewrites();
+        while (r.aofRewrites() == before)
+            set("pad", 4096);
+        EXPECT_EQ(r.undoBytes(), 0u);
+        image = model;
+    };
+    auto crashAndRecover = [&] {
+        t = std::max(t, dev.domain().now());
+        aof.crash(t);
+        aof.hideSuffix = true;
+        r.recover();
+        expectStoreEquals(r, image);
+        r.recover();
+        if (rng.chance(0.5))
+            r.recover();
+        expectStoreEquals(r, model);
+    };
+
+    set("fill", fillBytes);
+    set("next", 100);
+    set("big", bigBytes);
+    set("empty", 0);
+    rewrite();
+    set("fill", 1);
+    EXPECT_EQ(r.undoBytes(), block);
+    set("next", 2);
+    EXPECT_EQ(r.undoBytes(), block + MiniRedis::preImageBytes(4, 100));
+    std::size_t logged = r.undoBytes();
+    set("big", 3);
+    logged += MiniRedis::preImageBytes(3, bigBytes);
+    EXPECT_EQ(r.undoBytes(), logged);
+    set("empty", 4);
+    logged += MiniRedis::preImageBytes(5, 0);
+    EXPECT_EQ(r.undoBytes(), logged);
+    set("fresh", 5);
+    logged += MiniRedis::preImageBytes(5, 0);
+    EXPECT_EQ(r.undoBytes(), logged);
+    // A second change of a key logs nothing more.
+    set("fill", fillBytes);
+    EXPECT_EQ(r.undoBytes(), logged);
+    set("big", bigBytes, /*cut=*/true);
+    crashAndRecover();
+    if (HasFatalFailure())
+        return;
+
+    const std::string keys[] = {"fill", "next", "big", "empty", "fresh",
+                                "k0", "k1", "k2"};
+    for (round = 1; round <= 8; ++round) {
+        rewrite();
+        for (int i = 0; i < 12; ++i) {
+            const std::string &key = keys[rng.nextBelow(std::size(keys))];
+            if (rng.chance(0.3))
+                del(key);
+            else
+                set(key, sizes[rng.nextBelow(std::size(sizes))]);
+        }
+        if (rng.chance(0.5))
+            set(keys[rng.nextBelow(std::size(keys))],
+                sizes[rng.nextBelow(std::size(sizes))], /*cut=*/true);
+        crashAndRecover();
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GE(r.aofRewrites(), 9u);
 }

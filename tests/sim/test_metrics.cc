@@ -262,6 +262,67 @@ TEST(SeriesTable, OneSidedSampleTicksSurviveTheJoin)
     EXPECT_NE(o1.str().find("\"columns\""), std::string::npos);
 }
 
+TEST(SeriesTable, InterleavedAndDisjointTicksMergeInTickOrder)
+{
+    // Four samplers whose tick sets interleave (a, b), lie wholly after
+    // the table (c) and wholly before it (d, whose first tick precedes
+    // every existing row). Each merge keeps the rows sorted, joins
+    // equal ticks into one row and pads the cells a sampler did not
+    // record with 0.
+    double v = 0.0;
+    MetricRegistry ra, rb, rc, rd;
+    ra.addGauge("slo.a", [&] { return v; });
+    rb.addGauge("slo.b", [&] { return v; });
+    rc.addGauge("slo.c", [&] { return v; });
+    rd.addGauge("slo.d", [&] { return v; });
+    GaugeSampler sa(ra, 10), sb(rb, 10), sc(rc, 10), sd(rd, 10);
+    auto sampleAt = [&](GaugeSampler &s, std::vector<Tick> ticks) {
+        for (Tick at : ticks) {
+            v = static_cast<double>(at) + 0.5;
+            s.sample(at);
+        }
+    };
+    sampleAt(sa, {100, 200, 300});
+    sampleAt(sb, {50, 150, 200, 350});
+    sampleAt(sc, {400, 500});
+    sampleAt(sd, {10, 20});
+
+    SeriesTable table;
+    for (const GaugeSampler *s : {&sa, &sb, &sc, &sd})
+        table.merge(*s);
+
+    const std::vector<Tick> ticks = {10,  20,  50,  100, 150,
+                                     200, 300, 350, 400, 500};
+    ASSERT_EQ(table.rows.size(), ticks.size());
+    for (std::size_t i = 0; i < ticks.size(); ++i)
+        EXPECT_EQ(table.rows[i].at, ticks[i]) << "row " << i;
+    EXPECT_EQ(table.rows[0].values, (std::vector<double>{0, 0, 0, 10.5}));
+    EXPECT_EQ(table.rows[2].values, (std::vector<double>{0, 50.5, 0, 0}));
+    EXPECT_EQ(table.rows[5].values,
+              (std::vector<double>{200.5, 200.5, 0, 0}));
+    EXPECT_EQ(table.rows[9].values, (std::vector<double>{0, 0, 500.5, 0}));
+
+    std::ostringstream os;
+    table.writeJson(os);
+    EXPECT_EQ(os.str(), "{\n"
+                        "  \"period_ticks\": 10,\n"
+                        "  \"columns\": [\"slo.a\", \"slo.b\", "
+                        "\"slo.c\", \"slo.d\"],\n"
+                        "  \"rows\": [\n"
+                        "    [10, 0, 0, 0, 10.5],\n"
+                        "    [20, 0, 0, 0, 20.5],\n"
+                        "    [50, 0, 50.5, 0, 0],\n"
+                        "    [100, 100.5, 0, 0, 0],\n"
+                        "    [150, 0, 150.5, 0, 0],\n"
+                        "    [200, 200.5, 200.5, 0, 0],\n"
+                        "    [300, 300.5, 0, 0, 0],\n"
+                        "    [350, 0, 350.5, 0, 0],\n"
+                        "    [400, 0, 0, 400.5, 0],\n"
+                        "    [500, 0, 0, 500.5, 0]\n"
+                        "  ]\n"
+                        "}");
+}
+
 TEST(MetricsSnapshot, WriteJsonShape)
 {
     Counter c("c");
