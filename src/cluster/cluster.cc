@@ -616,7 +616,6 @@ Cluster::startRebalance()
         const std::uint64_t p = map_.point(op.key);
         return p >= begin && p < end;
     });
-    // bssd-lint: allow(det-cross-domain-schedule) poll runs in host_
     host_.queue().schedule(host_.now() + kDrainPoll,
                            [this] { pollDrain(); });
 }
@@ -629,7 +628,6 @@ Cluster::pollDrain()
     for (const MoveRange &m : plan_)
         busy = busy || router_->outstanding(m.from) > 0;
     if (busy) {
-        // bssd-lint: allow(det-cross-domain-schedule) poll runs in host_
         host_.queue().schedule(host_.now() + kDrainPoll,
                                [this] { pollDrain(); });
         return;

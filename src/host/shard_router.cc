@@ -63,7 +63,6 @@ ShardRouter::start()
 {
     if (cfg_.cycles == 0)
         return;
-    // bssd-lint: allow(det-cross-domain-schedule) router runs in host_
     host_.queue().schedule(arrivals_.next(), [this] { cycle(); });
 }
 
@@ -140,7 +139,6 @@ ShardRouter::cycle()
     flushBuckets();
     ++cyclesDone_;
     if (cyclesDone_ < cfg_.cycles) {
-        // bssd-lint: allow(det-cross-domain-schedule) same-domain rearm
         host_.queue().schedule(arrivals_.next(), [this] { cycle(); });
     }
     if (cycleHook_)
@@ -235,11 +233,11 @@ ShardRouter::dispatchOn(unsigned shard, std::size_t qp,
     // The doorbell: one posted write across the link. The batch
     // executes entirely inside the shard's domain, then the completion
     // interrupt crosses back.
-    // bssd-lint: allow(own-post-ctx-missing) a batch has no single
-    // request identity; per-op OpTags ride in `tags` and are pushed
-    // around each op's spans inside the executor (DESIGN.md sec 16)
+    // A batch has no single request identity, so it posts an empty
+    // context; per-op OpTags ride in `tags` and are pushed around each
+    // op's spans inside the executor (DESIGN.md sec 16).
     host_.post(
-        *shards_[shard], dispatched + cfg_.requestLatency,
+        *shards_[shard], dispatched + cfg_.requestLatency, {},
         [this, shard, qp, offered, dispatched, ops = std::move(ops),
          tags = std::move(tags)] {
             sim::Domain &dom = *shards_[shard];
@@ -263,10 +261,10 @@ ShardRouter::dispatchOn(unsigned shard, std::size_t qp,
                               cfg_.completionLatency - offered);
             }
             const auto count = static_cast<std::uint64_t>(ops.size());
-            // bssd-lint: allow(own-post-ctx-missing) the completion
-            // interrupt covers the whole batch; per-op identities
-            // return via the same OpTag vector (DESIGN.md sec 16)
-            dom.post(host_, done,
+            // The completion interrupt covers the whole batch, so it
+            // too posts an empty context; per-op identities return via
+            // the same OpTag vector (DESIGN.md sec 16).
+            dom.post(host_, done, {},
                      [this, shard, qp, offered, dispatched, done, count,
                       lat = std::move(lat), tags = std::move(tags)] {
                          // Delivered into the host domain: the guard

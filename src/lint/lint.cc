@@ -166,8 +166,7 @@ findSuppressions(const LexedFile &f, std::vector<Violation> &out)
 }
 
 void
-applySuppressions(const LexedFile &f, std::vector<Violation> &violations,
-                  std::vector<SuppressionAudit> *audit = nullptr)
+applySuppressions(const LexedFile &f, std::vector<Violation> &violations)
 {
     std::vector<Violation> extra;
     std::vector<Suppression> sups = findSuppressions(f, extra);
@@ -197,10 +196,6 @@ applySuppressions(const LexedFile &f, std::vector<Violation> &violations,
                          "' matches no violation",
                      "remove the stale // bssd-lint: allow(...) "
                      "marker"});
-            if (audit != nullptr)
-                audit->push_back({f.path, sup.commentLine,
-                                  sup.targetLine, sup.rules[i],
-                                  sup.used[i]});
         }
     }
     for (const auto &v : extra)
@@ -231,19 +226,6 @@ jsonEscape(const std::string &s, std::ostream &os)
 
 } // namespace
 
-std::vector<Violation>
-lintBuffer(const std::string &path, const std::string &content,
-           const ProjectTables &tables)
-{
-    LexedFile f = lex(path, content);
-    ProjectTables local = tables;
-    collectFileTables(f, local);
-    std::vector<Violation> violations = runRules(f, local);
-    applySuppressions(f, violations);
-    std::sort(violations.begin(), violations.end());
-    return violations;
-}
-
 LintResult
 runLint(const LintOptions &opts)
 {
@@ -263,39 +245,36 @@ runLint(const LintOptions &opts)
     }
 
     // The canonical tracepoint and span-name tables are always loaded
-    // from the root, whether or not src/ is part of the scan set.
+    // from the root, whether or not src/ is part of the scan set. A
+    // table that is missing or parses empty would silently switch its
+    // cross-check off, so it is an error.
     ProjectTables tables;
-    {
+    auto load = [&](const std::string &rel, auto parse) {
         std::string content;
-        if (readFile(root / "src/sim/tracepoint.hh", content)) {
-            LexedFile tp = lex("src/sim/tracepoint.hh", content);
-            parseTracepointTable(tp, tables);
-        }
-    }
-    {
-        std::string content;
-        if (readFile(root / "src/sim/span_names.hh", content)) {
-            LexedFile sn = lex("src/sim/span_names.hh", content);
-            parseSpanNameTable(sn, tables);
-        }
-    }
-    result.tracepointTableLoaded = tables.tracepointTableLoaded;
+        if (readFile(root / rel, content))
+            parse(lex(rel, content), tables);
+    };
+    load("src/sim/tracepoint.hh", parseTracepointTable);
+    load("src/sim/span_names.hh", parseSpanNameTable);
+    if (tables.tracepointNames.empty())
+        result.errors.push_back("no tracepoint table (tpName) in " +
+                                opts.root + "/src/sim/tracepoint.hh");
+    if (tables.spanNames.empty() || tables.phaseNames.empty())
+        result.errors.push_back(
+            "no span table (kSpanNames, kPhaseNames) in " + opts.root +
+            "/src/sim/span_names.hh");
     result.tracepointNames = tables.tracepointNames;
-    result.spanTableLoaded = tables.spanTableLoaded;
 
     for (const auto &f : lexed)
         collectFileTables(f, tables);
 
     for (const auto &f : lexed) {
         std::vector<Violation> v = runRules(f, tables);
-        applySuppressions(f, v,
-                          opts.auditSuppressions ? &result.suppressions
-                                                 : nullptr);
+        applySuppressions(f, v);
         result.violations.insert(result.violations.end(), v.begin(),
                                  v.end());
     }
     std::sort(result.violations.begin(), result.violations.end());
-    std::sort(result.suppressions.begin(), result.suppressions.end());
     return result;
 }
 
@@ -310,19 +289,10 @@ writeText(const LintResult &result, std::ostream &os)
         if (!v.hint.empty())
             os << "    hint: " << v.hint << "\n";
     }
-    for (const auto &s : result.suppressions) {
-        os << s.file << ":" << s.line << ": "
-           << (s.used ? "used" : "UNUSED") << " suppression of '"
-           << s.rule << "' (target line " << s.targetLine << ")\n";
-    }
     if (result.clean())
         os << "bssd-lint: clean (" << result.files.size()
-           << " files scanned, "
-           << (result.tracepointTableLoaded
-                   ? std::to_string(result.tracepointNames.size()) +
-                         " tracepoints validated"
-                   : std::string("tracepoint table not loaded"))
-           << ")\n";
+           << " files scanned, " << result.tracepointNames.size()
+           << " tracepoints validated)\n";
     else
         os << "bssd-lint: " << result.violations.size()
            << " violation(s), " << result.errors.size()
@@ -368,22 +338,6 @@ writeJson(const LintResult &result, std::ostream &os)
         os << "\"}";
     }
     os << (result.violations.empty() ? "" : "\n  ") << "],\n";
-
-    if (!result.suppressions.empty()) {
-        os << "  \"suppressions\": [";
-        for (std::size_t i = 0; i < result.suppressions.size(); ++i) {
-            const auto &s = result.suppressions[i];
-            os << (i ? "," : "") << "\n    {\"file\": \"";
-            jsonEscape(s.file, os);
-            os << "\", \"line\": " << s.line
-               << ", \"target_line\": " << s.targetLine
-               << ", \"rule\": \"";
-            jsonEscape(s.rule, os);
-            os << "\", \"used\": " << (s.used ? "true" : "false")
-               << "}";
-        }
-        os << "\n  ],\n";
-    }
 
     std::map<std::string, int> byRule;
     for (const auto &v : result.violations)

@@ -39,38 +39,6 @@ struct LintOptions
 
     /** Files or directories to scan (root-relative or absolute). */
     std::vector<std::string> paths;
-
-    /**
-     * Audit mode (--warn-unused-suppressions): report every
-     * suppression marker with its match status. Markers that suppress
-     * nothing are lint-suppression violations either way; the audit
-     * additionally inventories the live ones, so stale-marker sweeps
-     * after a refactor are one grep instead of an archaeology dig.
-     */
-    bool auditSuppressions = false;
-};
-
-/** One suppression marker, as the audit saw it. */
-struct SuppressionAudit
-{
-    std::string file;
-    /** Line of the marker comment. */
-    int line = 0;
-    /** Line whose violations it suppresses. */
-    int targetLine = 0;
-    std::string rule;
-    /** True when it suppressed at least one violation. */
-    bool used = false;
-
-    bool
-    operator<(const SuppressionAudit &o) const
-    {
-        if (file != o.file)
-            return file < o.file;
-        if (line != o.line)
-            return line < o.line;
-        return rule < o.rule;
-    }
 };
 
 struct LintResult
@@ -78,21 +46,14 @@ struct LintResult
     /** Unsuppressed violations, sorted by (file, line, rule). */
     std::vector<Violation> violations;
 
-    /** Suppression inventory (auditSuppressions mode only), sorted. */
-    std::vector<SuppressionAudit> suppressions;
-
     /** Root-relative paths of every scanned file, sorted. */
     std::vector<std::string> files;
 
     /** Canonical tracepoint table as the cross-checks saw it. */
     std::vector<std::string> tracepointNames;
-    bool tracepointTableLoaded = false;
 
-    /** True when the span/phase vocabulary (src/sim/span_names.hh)
-     *  was parsed, enabling xcheck-span-name. */
-    bool spanTableLoaded = false;
-
-    /** Paths that could not be read (reported as violations too). */
+    /** Unreadable paths, and canonical tables (tracepoint, span) that
+     *  are missing under the root or parse empty. */
     std::vector<std::string> errors;
 
     bool clean() const { return violations.empty() && errors.empty(); }
@@ -100,11 +61,6 @@ struct LintResult
 
 /** Run the analyzer; never throws on bad input paths (see errors). */
 LintResult runLint(const LintOptions &opts);
-
-/** Lint a single in-memory buffer (unit tests / fixtures). */
-std::vector<Violation> lintBuffer(const std::string &path,
-                                  const std::string &content,
-                                  const ProjectTables &tables);
 
 /** Human-readable report. */
 void writeText(const LintResult &result, std::ostream &os);

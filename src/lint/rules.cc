@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstdlib>
 
+#include "sim/tracepoint.hh"
+
 namespace bssd::lint
 {
 
@@ -16,13 +18,6 @@ namespace
 // Rule catalog.
 
 const std::vector<RuleInfo> kCatalog = {
-    {"det-cross-domain-schedule",
-     "direct schedule through a queue accessor (cross-domain ordering "
-     "hazard)",
-     "cross-domain events must travel through Domain::post so the "
-     "engine's (tick, sender, sequence) mailbox order applies; if the "
-     "target really is the caller's own domain, suppress with that "
-     "justification"},
     {"det-static-local",
      "mutable function-local static (hidden cross-run state)",
      "hoist the state into the owning object so it resets with the rig"},
@@ -52,24 +47,6 @@ const std::vector<RuleInfo> kCatalog = {
      "suppression comment problem (unknown rule or nothing to "
      "suppress)",
      "remove the stale // bssd-lint: allow(...) marker"},
-    {"own-cross-domain-access",
-     "dereference of state owned by another domain without a post() "
-     "(cross-domain aliasing hazard)",
-     "touch foreign-domain state from a callback posted into the "
-     "owning domain (Domain::post), or suppress with a justification "
-     "for why the access cannot race"},
-    {"own-post-ctx-missing",
-     "cross-domain post() drops the TraceContext (request stitching "
-     "silently breaks)",
-     "use the post(target, when, ctx, cb) overload; when the message "
-     "has no single request identity (batch channels), suppress with "
-     "that justification"},
-    {"own-raw-handle-escape",
-     "accessor hands out a mutable reference/pointer to domain-owned "
-     "state",
-     "return by value or const reference, route mutation through the "
-     "owning domain, or suppress with a justification naming the "
-     "same-domain callers"},
     {"xcheck-metric-path",
      "metric path literal violates the a.b.c grammar or duplicates "
      "another registration",
@@ -78,65 +55,45 @@ const std::vector<RuleInfo> kCatalog = {
      "span or phase name literal is not in the canonical vocabulary",
      "add the (cat, name) pair to kSpanNames (or the phase to "
      "kPhaseNames) in src/sim/span_names.hh, or fix the typo"},
-    {"xcheck-span-table",
-     "canonical span-name table is malformed",
-     "src/sim/span_names.hh must keep kSpanNames and kPhaseNames "
-     "sorted and duplicate-free"},
     {"xcheck-tracepoint",
      "string literal looks like a tracepoint name but is not in the "
      "canonical table",
      "use a name returned by tpName() in src/sim/tracepoint.hh"},
-    {"xcheck-tracepoint-table",
-     "canonical tracepoint table is malformed",
-     "src/sim/tracepoint.hh must keep enum entries and tpName() "
-     "strings in exact one-to-one correspondence"},
 };
 
 // ---------------------------------------------------------------------
-// Scope tracking: classify every brace so rules can tell class bodies
-// from function bodies and group statements by enclosing function.
-
-enum class ScopeKind : unsigned char { top, ns, cls, blk };
-
-bool isPunct(const Token &t, const char *s);
-bool isIdent(const Token &t, const char *s);
+// Scope tracking: classify every brace so rules can tell function
+// bodies from namespace/class bodies and group statements by
+// enclosing function.
 
 struct ScopeInfo
 {
-    /** Innermost scope kind per token index. */
-    std::vector<ScopeKind> kind;
+    /** Per token: inside a function or statement body. */
+    std::vector<bool> inBlock;
     /** Enclosing-function id per token (0 = not inside a function). */
     std::vector<int> funcId;
-    /** Innermost enclosing class/struct name per token ("" outside). */
-    std::vector<std::string> clsName;
-    /** funcId -> class the function belongs to ("" for free functions
-     *  and bodies whose qualifier the scan cannot attribute). */
-    std::map<int, std::string> funcClass;
 };
 
 ScopeInfo
 buildScopes(const LexedFile &f)
 {
     ScopeInfo info;
-    info.kind.resize(f.tokens.size(), ScopeKind::top);
+    info.inBlock.resize(f.tokens.size(), false);
     info.funcId.resize(f.tokens.size(), 0);
-    info.clsName.resize(f.tokens.size());
 
     struct Frame
     {
-        ScopeKind kind;
+        bool block;
         int funcId;
-        std::string cls;
     };
-    std::vector<Frame> stack{{ScopeKind::top, 0, ""}};
+    std::vector<Frame> stack{{false, 0}};
     int nextFuncId = 0;
     std::size_t stmtStart = 0; // first token of the current "prefix"
 
     for (std::size_t i = 0; i < f.tokens.size(); ++i) {
         const Token &t = f.tokens[i];
-        info.kind[i] = stack.back().kind;
+        info.inBlock[i] = stack.back().block;
         info.funcId[i] = stack.back().funcId;
-        info.clsName[i] = stack.back().cls;
 
         if (t.kind != TokKind::punct) {
             continue;
@@ -144,65 +101,26 @@ buildScopes(const LexedFile &f)
         if (t.text == ";") {
             stmtStart = i + 1;
         } else if (t.text == "{") {
-            ScopeKind kind = ScopeKind::blk;
+            // A brace after `)` always opens a body; otherwise a
+            // namespace/class/enum head makes it a declaration scope.
+            bool block = true;
             bool prevParen =
                 i > 0 && f.tokens[i - 1].kind == TokKind::punct &&
                 f.tokens[i - 1].text == ")";
-            if (!prevParen) {
-                for (std::size_t j = stmtStart; j < i; ++j) {
-                    const Token &p = f.tokens[j];
-                    if (p.kind != TokKind::ident)
-                        continue;
-                    if (p.text == "namespace") {
-                        kind = ScopeKind::ns;
-                        break;
-                    }
-                    if (p.text == "class" || p.text == "struct" ||
-                        p.text == "union" || p.text == "enum") {
-                        kind = ScopeKind::cls;
-                        break;
-                    }
-                }
-            }
-            std::string cls = stack.back().cls;
-            if (kind == ScopeKind::cls) {
-                // Class name: last identifier of the head before the
-                // base clause / enum base (a lone ':'), skipping the
-                // keywords of `struct Cluster::Shard final : Base`.
-                cls.clear();
-                for (std::size_t j = stmtStart; j < i; ++j) {
-                    const Token &p = f.tokens[j];
-                    if (isPunct(p, ":"))
-                        break;
-                    if (p.kind != TokKind::ident)
-                        continue;
-                    if (p.text == "class" || p.text == "struct" ||
-                        p.text == "union" || p.text == "enum" ||
-                        p.text == "final" || p.text == "alignas")
-                        continue;
-                    cls = p.text;
+            for (std::size_t j = stmtStart; !prevParen && j < i; ++j) {
+                const Token &p = f.tokens[j];
+                if (p.kind == TokKind::ident &&
+                    (p.text == "namespace" || p.text == "class" ||
+                     p.text == "struct" || p.text == "union" ||
+                     p.text == "enum")) {
+                    block = false;
+                    break;
                 }
             }
             int fid = stack.back().funcId;
-            if (kind == ScopeKind::blk &&
-                stack.back().kind != ScopeKind::blk) {
+            if (block && !stack.back().block)
                 fid = ++nextFuncId;
-                // Attribute the function to a class: the enclosing
-                // class body, or the `Cls::method(` qualifier of an
-                // out-of-line definition.
-                std::string owner = stack.back().cls;
-                for (std::size_t j = stmtStart; j + 3 < i; ++j) {
-                    if (f.tokens[j].kind == TokKind::ident &&
-                        isPunct(f.tokens[j + 1], "::") &&
-                        f.tokens[j + 2].kind == TokKind::ident &&
-                        isPunct(f.tokens[j + 3], "(")) {
-                        owner = f.tokens[j].text;
-                        break;
-                    }
-                }
-                info.funcClass[fid] = owner;
-            }
-            stack.push_back({kind, fid, cls});
+            stack.push_back({block, fid});
             stmtStart = i + 1;
         } else if (t.text == "}") {
             if (stack.size() > 1)
@@ -332,29 +250,6 @@ validMetricFragment(const std::string &s)
     return true;
 }
 
-/** Canonical tracepoint grammar: ns.CamelOrLower, no underscores. */
-bool
-validTracepointName(const std::string &s)
-{
-    std::size_t dot = s.find('.');
-    if (dot == std::string::npos || dot == 0 || dot + 1 >= s.size())
-        return false;
-    if (s.find('.', dot + 1) != std::string::npos)
-        return false;
-    for (std::size_t i = 0; i < dot; ++i)
-        if (s[i] < 'a' || s[i] > 'z')
-            return false;
-    for (std::size_t i = dot + 1; i < s.size(); ++i) {
-        char c = s[i];
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  (c >= '0' && c <= '9');
-        if (!ok)
-            return false;
-    }
-    char first = s[dot + 1];
-    return (first >= 'a' && first <= 'z') || (first >= 'A' && first <= 'Z');
-}
-
 // ---------------------------------------------------------------------
 // Shared scanners (used by both pass A and pass B).
 
@@ -401,72 +296,6 @@ findUnorderedDecls(const LexedFile &f)
                 d.name = toks[j].text;
         }
         out.push_back(d);
-    }
-    return out;
-}
-
-/**
- * Data members of every class/struct in @p f. A member is an
- * identifier at class scope, outside parentheses (excludes parameter
- * lists), directly followed by `;`, `=` or a brace initializer — the
- * shapes of `T name_;`, `T name_ = x;` and `T name_{x};`. Method
- * names are followed by `(`, so they never match; `friend`, `using`
- * and `typedef` statements are skipped.
- */
-std::map<std::string, ClassDecl>
-findClassDecls(const LexedFile &f, const ScopeInfo &scopes)
-{
-    std::map<std::string, ClassDecl> out;
-    const auto &toks = f.tokens;
-    int parenDepth = 0;
-    std::size_t stmtStart = 0;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (t.kind == TokKind::punct) {
-            if (t.text == "(")
-                ++parenDepth;
-            else if (t.text == ")")
-                --parenDepth;
-            else if (t.text == ";" || t.text == "{" || t.text == "}")
-                stmtStart = i + 1;
-            continue;
-        }
-        if (t.kind != TokKind::ident || parenDepth != 0 ||
-            scopes.kind[i] != ScopeKind::cls ||
-            scopes.clsName[i].empty())
-            continue;
-        if (i + 1 >= toks.size())
-            continue;
-        const Token &after = toks[i + 1];
-        if (!isPunct(after, ";") && !isPunct(after, "=") &&
-            !isPunct(after, "{"))
-            continue;
-        // Collect the declared type's identifier tokens and skip
-        // non-declarations (friend/using/typedef, enum entries with
-        // initializers have no type tokens and are harmless noise).
-        MemberDecl m;
-        m.name = t.text;
-        m.line = t.line;
-        bool skip = false;
-        for (std::size_t j = stmtStart; j < i; ++j) {
-            if (toks[j].kind != TokKind::ident)
-                continue;
-            if (toks[j].text == "friend" || toks[j].text == "using" ||
-                toks[j].text == "typedef") {
-                skip = true;
-                break;
-            }
-            m.typeTokens.push_back(toks[j].text);
-        }
-        if (skip || m.typeTokens.empty())
-            continue;
-        ClassDecl &cls = out[scopes.clsName[i]];
-        if (cls.name.empty()) {
-            cls.name = scopes.clsName[i];
-            cls.file = f.path;
-            cls.line = t.line;
-        }
-        cls.members.emplace(m.name, std::move(m));
     }
     return out;
 }
@@ -535,6 +364,18 @@ findMetricSites(const LexedFile &f, const ScopeInfo &scopes)
     return out;
 }
 
+/** Path minus extension: "src/ftl/ftl.cc" -> "src/ftl/ftl". */
+std::string
+pathStem(const std::string &path)
+{
+    std::size_t dot = path.rfind('.');
+    std::size_t slash = path.rfind('/');
+    if (dot == std::string::npos ||
+        (slash != std::string::npos && dot < slash))
+        return path;
+    return path.substr(0, dot);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -555,67 +396,6 @@ knownRule(const std::string &id)
     return false;
 }
 
-std::set<std::string>
-ProjectTables::tracepointNamespaces() const
-{
-    std::set<std::string> out;
-    for (const auto &name : tracepointNames) {
-        std::size_t dot = name.find('.');
-        if (dot != std::string::npos)
-            out.insert(name.substr(0, dot));
-    }
-    return out;
-}
-
-bool
-MemberDecl::isDomainHandle() const
-{
-    for (const auto &t : typeTokens)
-        if (t == "Domain")
-            return true;
-    return false;
-}
-
-bool
-ClassDecl::domainRooted() const
-{
-    for (const auto &[name, m] : members)
-        if (m.isDomainHandle())
-            return true;
-    return false;
-}
-
-std::set<std::string>
-ProjectTables::domainRootedClasses() const
-{
-    std::set<std::string> out;
-    for (const auto &[name, c] : classes) {
-        // Domain itself is the root of roots: its queue/outbox/seq
-        // members ARE the per-domain state the engine hands to exactly
-        // one thread per round.
-        if (name == "Domain" || c.domainRooted())
-            out.insert(name);
-    }
-    return out;
-}
-
-namespace
-{
-
-/** Path minus extension: "src/ftl/ftl.cc" -> "src/ftl/ftl". */
-std::string
-pathStem(const std::string &path)
-{
-    std::size_t dot = path.rfind('.');
-    std::size_t slash = path.rfind('/');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash))
-        return path;
-    return path.substr(0, dot);
-}
-
-} // namespace
-
 void
 collectFileTables(const LexedFile &file, ProjectTables &tables)
 {
@@ -626,48 +406,12 @@ collectFileTables(const LexedFile &file, ProjectTables &tables)
     ScopeInfo scopes = buildScopes(file);
     for (auto &site : findMetricSites(file, scopes))
         tables.metricSites.push_back(site);
-
-    for (auto &[name, cls] : findClassDecls(file, scopes)) {
-        ClassDecl &into = tables.classes[name];
-        if (into.name.empty()) {
-            into = std::move(cls);
-        } else {
-            for (auto &[mn, m] : cls.members)
-                into.members.emplace(mn, std::move(m));
-        }
-    }
 }
 
 void
 parseTracepointTable(const LexedFile &file, ProjectTables &tables)
 {
     const auto &toks = file.tokens;
-
-    // Enum entries: `enum class Tp ... { a, b, ..., count_ }`.
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        if (!isIdent(toks[i], "enum") || !isIdent(toks[i + 1], "class") ||
-            !isIdent(toks[i + 2], "Tp"))
-            continue;
-        std::size_t j = i + 3;
-        while (j < toks.size() && !isPunct(toks[j], "{"))
-            ++j;
-        int depth = 0;
-        for (; j < toks.size(); ++j) {
-            if (isPunct(toks[j], "{")) {
-                ++depth;
-            } else if (isPunct(toks[j], "}")) {
-                if (--depth == 0)
-                    break;
-            } else if (depth == 1 && toks[j].kind == TokKind::ident &&
-                       j + 1 < toks.size() &&
-                       (isPunct(toks[j + 1], ",") ||
-                        isPunct(toks[j + 1], "}"))) {
-                if (toks[j].text != "count_")
-                    ++tables.tracepointEnumCount;
-            }
-        }
-        break;
-    }
 
     // Canonical names: the string literals returned by tpName().
     for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -688,10 +432,8 @@ parseTracepointTable(const LexedFile &file, ProjectTables &tables)
                 tables.tracepointNames.push_back(toks[j].text);
             }
         }
-        if (!tables.tracepointNames.empty()) {
-            tables.tracepointTableLoaded = true;
+        if (!tables.tracepointNames.empty())
             break;
-        }
     }
 }
 
@@ -745,8 +487,6 @@ parseSpanNameTable(const LexedFile &file, ProjectTables &tables)
             }
         }
     }
-    if (!tables.spanNames.empty() && !tables.phaseNames.empty())
-        tables.spanTableLoaded = true;
 }
 
 std::vector<Violation>
@@ -766,7 +506,6 @@ runRules(const LexedFile &f, const ProjectTables &tables)
         out.push_back({f.path, line, rule, message, hint});
     };
 
-    const bool isTracepointHeader = f.path == "src/sim/tracepoint.hh";
     const bool isTicksHeader = f.path == "src/sim/ticks.hh";
     const bool wallclockAllowlisted =
         f.path == "bench/support/stopwatch.hh";
@@ -871,36 +610,10 @@ runRules(const LexedFile &f, const ProjectTables &tables)
     }
 
     // -----------------------------------------------------------------
-    // det-cross-domain-schedule: `queue().schedule(...)` (or events(),
-    // or scheduleIn) reaches through an accessor into a queue the
-    // caller may not own. Direct member access (`queue_.schedule`) and
-    // locally owned queues do not match; accessor calls are exactly
-    // the shape cross-component code uses, and those must go through
-    // Domain::post instead so parallel runs stay bit-identical.
-    for (std::size_t i = 0; i + 5 < toks.size(); ++i) {
-        if (!isIdent(toks[i], "queue") && !isIdent(toks[i], "events"))
-            continue;
-        if (!isPunct(toks[i + 1], "(") || !isPunct(toks[i + 2], ")"))
-            continue;
-        if (!isPunct(toks[i + 3], ".") && !isPunct(toks[i + 3], "->"))
-            continue;
-        if (!isIdent(toks[i + 4], "schedule") &&
-            !isIdent(toks[i + 4], "scheduleIn"))
-            continue;
-        if (!isPunct(toks[i + 5], "("))
-            continue;
-        add("det-cross-domain-schedule", toks[i].line,
-            "direct " + toks[i + 4].text + "() through the " +
-                toks[i].text + "() accessor bypasses the deterministic "
-                "cross-domain mailbox");
-    }
-
-    // -----------------------------------------------------------------
     // det-static-local: `static` in a function body that is not
     // const/constexpr is hidden mutable cross-run state.
     for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (!isIdent(toks[i], "static") ||
-            scopes.kind[i] != ScopeKind::blk)
+        if (!isIdent(toks[i], "static") || !scopes.inBlock[i])
             continue;
         bool immutable = false;
         for (std::size_t j = i + 1; j < std::min(i + 4, toks.size());
@@ -916,226 +629,13 @@ runRules(const LexedFile &f, const ProjectTables &tables)
     }
 
     // -----------------------------------------------------------------
-    // own-*: domain-ownership rules (DESIGN.md section 16), driven by
-    // pass A's class table. Scope is product code plus the rule
-    // fixtures — tests poke rig internals from the outside on purpose.
-    // The mailbox mechanism itself (Domain / ParallelEngine) is the
-    // one sanctioned place that touches foreign queues, so its own
-    // files are exempt.
-    const bool ownScope =
-        (f.path.rfind("src/", 0) == 0 ||
-         f.path.rfind("tools/", 0) == 0 ||
-         f.path.rfind("bench/", 0) == 0 ||
-         f.path.rfind("tests/lint/fixtures/", 0) == 0) &&
-        f.path != "src/sim/domain.hh" &&
-        f.path != "src/sim/engine.hh" && f.path != "src/sim/engine.cc";
-    if (ownScope) {
-        const std::set<std::string> rooted =
-            tables.domainRootedClasses();
-        auto classOf =
-            [&](const std::string &name) -> const ClassDecl * {
-            auto it = tables.classes.find(name);
-            return it == tables.classes.end() ? nullptr : &it->second;
-        };
-
-        // Every `.post(` / `->post(` call: its argument extent (code
-        // in a posted lambda runs in the target domain, so
-        // dereferences there are ownership transfers, not aliasing)
-        // and its top-level comma count (2 commas = the 3-argument
-        // overload that drops the TraceContext).
-        std::vector<bool> inPost(toks.size(), false);
-        for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-            if (!isIdent(toks[i], "post"))
-                continue;
-            if (!isPunct(toks[i - 1], ".") &&
-                !isPunct(toks[i - 1], "->"))
-                continue;
-            if (!isPunct(toks[i + 1], "("))
-                continue;
-            int depth = 0;
-            int commas = 0;
-            for (std::size_t j = i + 1; j < toks.size(); ++j) {
-                const Token &t = toks[j];
-                if (isPunct(t, "(") || isPunct(t, "[") ||
-                    isPunct(t, "{")) {
-                    ++depth;
-                } else if (isPunct(t, ")") || isPunct(t, "]") ||
-                           isPunct(t, "}")) {
-                    if (--depth == 0)
-                        break;
-                } else if (depth == 1 && isPunct(t, ",")) {
-                    ++commas;
-                }
-                if (depth >= 1)
-                    inPost[j] = true;
-            }
-            if (commas == 2)
-                add("own-post-ctx-missing", toks[i].line,
-                    "cross-domain post() without a TraceContext "
-                    "loses the request identity in the target domain");
-        }
-
-        // own-raw-handle-escape: inline accessor of a domain-rooted
-        // class returning a mutable ref/pointer to a member:
-        //   `[&*] name ( ) [const] { return [*&] member [.get()] ; }`
-        for (std::size_t i = 1; i + 6 < toks.size(); ++i) {
-            if (!isPunct(toks[i], "&") && !isPunct(toks[i], "*"))
-                continue;
-            if (scopes.kind[i] != ScopeKind::cls)
-                continue;
-            const std::string &cls = scopes.clsName[i];
-            if (cls.empty() || rooted.count(cls) == 0)
-                continue;
-            if (toks[i + 1].kind != TokKind::ident ||
-                !isPunct(toks[i + 2], "(") ||
-                !isPunct(toks[i + 3], ")"))
-                continue;
-            std::size_t j = i + 4;
-            if (isIdent(toks[j], "const"))
-                ++j;
-            if (j + 2 >= toks.size() || !isPunct(toks[j], "{") ||
-                !isIdent(toks[j + 1], "return"))
-                continue;
-            std::size_t m = j + 2;
-            while (m < toks.size() &&
-                   (isPunct(toks[m], "*") || isPunct(toks[m], "&")))
-                ++m;
-            if (m >= toks.size() || toks[m].kind != TokKind::ident)
-                continue;
-            const std::string &mem = toks[m].text;
-            std::size_t semi = m + 1;
-            if (semi + 3 < toks.size() && isPunct(toks[semi], ".") &&
-                isIdent(toks[semi + 1], "get") &&
-                isPunct(toks[semi + 2], "(") &&
-                isPunct(toks[semi + 3], ")"))
-                semi += 4;
-            if (semi >= toks.size() || !isPunct(toks[semi], ";"))
-                continue;
-            const ClassDecl *decl = classOf(cls);
-            if (decl == nullptr || decl->members.count(mem) == 0)
-                continue;
-            // Sanctioned escapes: const-returning accessors, and the
-            // Domain handle itself (handing out the mailbox is how
-            // callers post).
-            bool sanctioned = false;
-            for (std::size_t k = i; k-- > 0;) {
-                const Token &p = toks[k];
-                if (p.kind == TokKind::punct &&
-                    (p.text == ";" || p.text == "{" || p.text == "}" ||
-                     p.text == ":" || p.text == ")"))
-                    break;
-                if (p.kind == TokKind::ident &&
-                    (p.text == "const" || p.text == "Domain"))
-                    sanctioned = true;
-            }
-            if (sanctioned)
-                continue;
-            add("own-raw-handle-escape", toks[i + 1].line,
-                "'" + toks[i + 1].text +
-                    "()' returns a mutable handle to domain-owned "
-                    "member '" +
-                    mem + "' of '" + cls + "'");
-        }
-
-        // own-cross-domain-access: a method of domain-rooted class A
-        // dereferencing a data member of domain-rooted class B
-        // through a handle member, outside any post() — state that
-        // belongs to another domain's thread.
-        for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-            if (toks[i].kind != TokKind::ident ||
-                scopes.kind[i] != ScopeKind::blk || inPost[i])
-                continue;
-            // Bare or this-> receivers only: `x.handle_->...` reads
-            // some other object's handle, which pass A cannot type.
-            if (i > 0 &&
-                (isPunct(toks[i - 1], ".") ||
-                 isPunct(toks[i - 1], "->")) &&
-                !(i >= 2 && isIdent(toks[i - 2], "this")))
-                continue;
-            auto fc = scopes.funcClass.find(scopes.funcId[i]);
-            if (fc == scopes.funcClass.end() || fc->second.empty() ||
-                rooted.count(fc->second) == 0)
-                continue;
-            const ClassDecl *owner = classOf(fc->second);
-            if (owner == nullptr)
-                continue;
-            auto hIt = owner->members.find(toks[i].text);
-            if (hIt == owner->members.end())
-                continue;
-            // Resolve the handle's pointee class from its declared
-            // type ("std::vector<std::unique_ptr<Shard>>" -> Shard).
-            std::string target;
-            for (const auto &tt : hIt->second.typeTokens) {
-                if (tt != fc->second && rooted.count(tt) > 0) {
-                    target = tt;
-                    break;
-                }
-            }
-            if (target.empty())
-                continue;
-            std::size_t j = i + 1;
-            if (isPunct(toks[j], "[")) {
-                int depth = 0;
-                for (; j < toks.size(); ++j) {
-                    if (isPunct(toks[j], "[")) {
-                        ++depth;
-                    } else if (isPunct(toks[j], "]")) {
-                        if (--depth == 0) {
-                            ++j;
-                            break;
-                        }
-                    }
-                }
-            }
-            if (j + 2 >= toks.size() ||
-                (!isPunct(toks[j], ".") && !isPunct(toks[j], "->")))
-                continue;
-            if (toks[j + 1].kind != TokKind::ident ||
-                isPunct(toks[j + 2], "("))
-                continue;
-            const ClassDecl *tgt = classOf(target);
-            if (tgt == nullptr)
-                continue;
-            auto mIt = tgt->members.find(toks[j + 1].text);
-            // Reading another object's Domain handle is how you post
-            // to it — sanctioned.
-            if (mIt == tgt->members.end() ||
-                mIt->second.isDomainHandle())
-                continue;
-            add("own-cross-domain-access", toks[i].line,
-                "'" + toks[i].text + "." + toks[j + 1].text +
-                    "' touches state owned by domain-rooted '" +
-                    target + "' from '" + fc->second +
-                    "' outside a post()");
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // xcheck-tracepoint(-table): literals against the canonical table.
-    if (isTracepointHeader && tables.tracepointTableLoaded) {
-        std::set<std::string> seen;
-        for (const auto &name : tables.tracepointNames) {
-            if (!validTracepointName(name))
-                add("xcheck-tracepoint-table", 1,
-                    "tracepoint name '" + name +
-                        "' violates the ns.name grammar");
-            if (!seen.insert(name).second)
-                add("xcheck-tracepoint-table", 1,
-                    "duplicate tracepoint name '" + name + "'");
-        }
-        if (static_cast<int>(tables.tracepointNames.size()) !=
-            tables.tracepointEnumCount)
-            add("xcheck-tracepoint-table", 1,
-                "tpName() returns " +
-                    std::to_string(tables.tracepointNames.size()) +
-                    " names but enum class Tp has " +
-                    std::to_string(tables.tracepointEnumCount) +
-                    " entries");
-    }
-    if (!isTracepointHeader && tables.tracepointTableLoaded) {
-        const std::set<std::string> nsSet = tables.tracepointNamespaces();
+    // xcheck-tracepoint: literals against the canonical table.
+    if (!tables.tracepointNames.empty()) {
         const std::set<std::string> names(tables.tracepointNames.begin(),
                                           tables.tracepointNames.end());
+        std::set<std::string> nsSet; // the names' layer prefixes
+        for (const auto &name : names)
+            nsSet.insert(name.substr(0, name.find('.')));
 
         // Scope: literals passed to the tracer's instant()/
         // tracepointHit() calls, plus every tracepoint-shaped literal
@@ -1169,7 +669,7 @@ runRules(const LexedFile &f, const ProjectTables &tables)
             if (t.kind != TokKind::str || !inScope[i])
                 continue;
             const std::string &s = t.text;
-            if (!validTracepointName(s))
+            if (!sim::tpNameWellFormed(s))
                 continue; // not tracepoint-shaped (metric paths etc.)
             std::string ns = s.substr(0, s.find('.'));
             if (!nsSet.count(ns))
@@ -1181,33 +681,15 @@ runRules(const LexedFile &f, const ProjectTables &tables)
     }
 
     // -----------------------------------------------------------------
-    // xcheck-span-name(-table): span/phase literals against the
-    // canonical vocabulary of src/sim/span_names.hh. Tests mint
-    // arbitrary spans on purpose, so only product code (src, tools,
-    // bench) and the rule's own fixtures are in scope.
-    const bool isSpanNameHeader = f.path == "src/sim/span_names.hh";
-    if (isSpanNameHeader && tables.spanTableLoaded) {
-        for (std::size_t i = 0; i < tables.spanNames.size(); ++i) {
-            const auto &e = tables.spanNames[i];
-            if (i > 0 && !(tables.spanNames[i - 1] < e)) {
-                add("xcheck-span-table", 1,
-                    "kSpanNames entry '" + e.first + "." + e.second +
-                        "' is out of order or duplicated");
-            }
-        }
-        for (std::size_t i = 1; i < tables.phaseNames.size(); ++i) {
-            if (!(tables.phaseNames[i - 1] < tables.phaseNames[i])) {
-                add("xcheck-span-table", 1,
-                    "kPhaseNames entry '" + tables.phaseNames[i] +
-                        "' is out of order or duplicated");
-            }
-        }
-    }
+    // xcheck-span-name: span/phase literals against the canonical
+    // vocabulary of src/sim/span_names.hh. Tests mint arbitrary spans
+    // on purpose, so only product code (src, tools, bench) and the
+    // rule's own fixtures are in scope.
     const bool spanScope = f.path.rfind("src/", 0) == 0 ||
                            f.path.rfind("tools/", 0) == 0 ||
                            f.path.rfind("bench/", 0) == 0 ||
                            f.path.rfind("tests/lint/fixtures/", 0) == 0;
-    if (!isSpanNameHeader && spanScope && tables.spanTableLoaded) {
+    if (spanScope && !tables.spanNames.empty()) {
         std::set<std::pair<std::string, std::string>> spanSet(
             tables.spanNames.begin(), tables.spanNames.end());
         std::set<std::string> phaseSet(tables.phaseNames.begin(),

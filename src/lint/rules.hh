@@ -2,14 +2,14 @@
  * @file
  * bssd-lint rule engine (DESIGN.md section 11).
  *
- * Rules run over lexed files in two passes. Pass A (collect*) builds
- * project-wide tables: the canonical tracepoint table parsed out of
- * src/sim/tracepoint.hh, the set of identifiers declared with
- * unordered-container type anywhere in the scan set, and every dotted
- * metric-path literal with its registration site. Pass B (runRules)
- * emits violations per file against those tables. Suppressions are
- * applied by the driver (lint.cc), not here, so the engine stays a
- * pure function of the sources.
+ * Rules run over lexed files in two passes. Pass A (collect*, parse*)
+ * builds project-wide tables: the canonical tracepoint and span tables
+ * parsed out of src/sim/tracepoint.hh and src/sim/span_names.hh, the
+ * set of identifiers declared with unordered-container type anywhere
+ * in the scan set, and every dotted metric-path literal with its
+ * registration site. Pass B (runRules) emits violations per file
+ * against those tables. Suppressions are applied in lint.cc, not
+ * here, so the engine stays a pure function of the sources.
  */
 
 #ifndef BSSD_LINT_RULES_HH
@@ -62,45 +62,6 @@ const std::vector<RuleInfo> &ruleCatalog();
 /** True when @p id names a catalogued rule. */
 bool knownRule(const std::string &id);
 
-/**
- * One data member of a class, as pass A's declaration scan saw it:
- * the declarator name plus every identifier token of its declared
- * type ("std::unique_ptr<nand::NandFlash>" -> {std, unique_ptr, nand,
- * NandFlash}). Type tokens are what the ownership rules resolve
- * against the class table — good enough to tell "handle to a
- * domain-rooted class" from everything else without a real parser.
- */
-struct MemberDecl
-{
-    std::string name;
-    int line = 0;
-    /** Identifier tokens of the declared type, in order. */
-    std::vector<std::string> typeTokens;
-
-    /** True when the declared type mentions sim::Domain. */
-    bool isDomainHandle() const;
-};
-
-/**
- * One class/struct from pass A's declaration scan. A class is
- * DOMAIN-ROOTED when it declares a `sim::Domain` member (by value:
- * the object IS a domain's root, like SsdDevice or Cluster) or holds
- * a Domain reference/pointer (it operates inside that domain, like
- * ShardRouter). Members of domain-rooted classes are domain-owned
- * state; the own-* rules key off this affinity.
- */
-struct ClassDecl
-{
-    std::string name;
-    std::string file;
-    int line = 0;
-    /** Data members by declarator name. */
-    std::map<std::string, MemberDecl> members;
-
-    /** Domain affinity (see above). */
-    bool domainRooted() const;
-};
-
 /** A metric-path registration site found in pass A. */
 struct MetricSite
 {
@@ -129,35 +90,18 @@ struct ProjectTables
      */
     std::map<std::string, std::set<std::string>> unorderedMembers;
 
-    /** Canonical tracepoint names, table order (tpName strings). */
+    /** Canonical tracepoint names, table order (tpName strings);
+     *  empty when src/sim/tracepoint.hh could not be parsed. */
     std::vector<std::string> tracepointNames;
-    /** Enum entry count parsed from `enum class Tp` (sans count_). */
-    int tracepointEnumCount = 0;
-    bool tracepointTableLoaded = false;
 
     /** Every metric-path literal, in discovery order. */
     std::vector<MetricSite> metricSites;
-
-    /**
-     * Class declaration table for the ownership rules: every class or
-     * struct seen in pass A, keyed by name. Same-name classes in
-     * different files merge members (harmless for affinity: the rules
-     * only consult classes the scanned tree defines once).
-     */
-    std::map<std::string, ClassDecl> classes;
-
-    /** Names of the domain-rooted classes in `classes`. */
-    std::set<std::string> domainRootedClasses() const;
 
     /** Canonical (cat, name) span pairs, table order, parsed from
      *  src/sim/span_names.hh (kSpanNames). */
     std::vector<std::pair<std::string, std::string>> spanNames;
     /** Canonical phase names, table order (kPhaseNames). */
     std::vector<std::string> phaseNames;
-    bool spanTableLoaded = false;
-
-    /** Namespaces (first segments) of the canonical tracepoints. */
-    std::set<std::string> tracepointNamespaces() const;
 };
 
 /** Pass A: fold @p file's declarations into the shared tables. */

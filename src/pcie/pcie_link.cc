@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/domain.hh"
 #include "sim/logging.hh"
 
 namespace bssd::pcie
@@ -16,6 +17,7 @@ PcieLink::PcieLink(const PcieConfig &cfg) : cfg_(cfg)
 sim::Tick
 PcieLink::postedWrite(sim::Tick ready, std::uint64_t bytes)
 {
+    BSSD_OWN_GUARD(this);
     if (bytes == 0)
         return ready;
     sim::tracepointHit(faults_, tracer_, sim::Tp::pciePosted, ready);
@@ -45,6 +47,7 @@ PcieLink::postedWrite(sim::Tick ready, std::uint64_t bytes)
 sim::Tick
 PcieLink::mmioRead(sim::Tick ready, std::uint64_t bytes)
 {
+    BSSD_OWN_GUARD(this);
     if (bytes == 0)
         return writeVerifyRead(ready);
     const std::uint64_t txns =
@@ -61,6 +64,7 @@ PcieLink::mmioRead(sim::Tick ready, std::uint64_t bytes)
 sim::Tick
 PcieLink::writeVerifyRead(sim::Tick ready)
 {
+    BSSD_OWN_GUARD(this);
     sim::tracepointHit(faults_, tracer_, sim::Tp::pcieVerify, ready);
     nonPosted_.add();
     // Non-posted reads are sequentialised behind posted writes at the
@@ -73,6 +77,7 @@ PcieLink::writeVerifyRead(sim::Tick ready)
 sim::Interval
 PcieLink::dma(sim::Tick ready, std::uint64_t bytes)
 {
+    BSSD_OWN_GUARD(this);
     dmaBytes_.add(bytes);
     return wire_.reserve(ready, cfg_.dmaBw.transferTime(bytes));
 }
@@ -80,6 +85,7 @@ PcieLink::dma(sim::Tick ready, std::uint64_t bytes)
 void
 PcieLink::reset()
 {
+    BSSD_OWN_GUARD(this);
     wire_.reset();
     postedLanded_ = 0;
     streamEnd_ = 0;

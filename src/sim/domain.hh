@@ -15,8 +15,10 @@
  * sender id, sender sequence). Because the serial engine delivers the
  * same messages in the same order, parallel execution is bit-identical
  * to serial. Scheduling directly onto another domain's queue would
- * bypass that ordering (and race under threads); bssd-lint's
- * det-cross-domain-schedule rule rejects it.
+ * bypass that ordering (and race under threads): each domain adopts its
+ * queue, and EventQueue::schedule's ownership guard panics on a
+ * foreign window's schedule in BSSD_DOMAIN_CHECK builds (DESIGN.md
+ * section 16).
  */
 
 #ifndef BSSD_SIM_DOMAIN_HH
@@ -49,7 +51,11 @@ class Domain
 
     explicit Domain(std::string name = "domain")
         : name_(std::move(name))
-    {}
+    {
+        adopt(&queue_, sizeof(queue_), "queue");
+    }
+
+    ~Domain() { release(&queue_); }
 
     Domain(const Domain &) = delete;
     Domain &operator=(const Domain &) = delete;
@@ -77,20 +83,17 @@ class Domain
      * sequence) order, so delivery is deterministic for any thread
      * count.
      *
+     * @p ctx carries the request identity: when the message runs in
+     * @p target, the target's tracer (setTracer) has @p ctx pushed, so
+     * every span the callback records stitches into the sending
+     * request's tree. Messages with no single request identity (batch
+     * channels) pass an empty context, which costs nothing.
+     *
      * @pre both domains are attached to the same engine, a channel
      *      this→target exists, and when >= now() + channel lookahead
      *      (the conservative-synchronization contract; violating it
      *      could let the target run past @p when before the message
      *      lands). Violations panic.
-     */
-    void post(Domain &target, Tick when, EventQueue::Callback cb);
-
-    /**
-     * post() carrying a request identity: when the message runs in
-     * @p target, the target's tracer (setTracer) has @p ctx pushed, so
-     * every span the callback records stitches into the sending
-     * request's tree. With tracing compiled out or an empty context
-     * this is exactly the plain post().
      */
     void post(Domain &target, Tick when, TraceContext ctx,
               EventQueue::Callback cb);
@@ -109,13 +112,13 @@ class Domain
     /**
      * @name Ownership sanitizer (BSSD_DOMAIN_CHECK builds)
      *
-     * The runtime twin of bssd-lint's own-* rules (DESIGN.md section
-     * 16). A rig adopts the allocations its domain owns at
-     * construction; BSSD_OWN_GUARD() sites on hot mutation paths then
-     * panic when a thread executing another domain's window touches
-     * an adopted span — the race the lint rules catch syntactically,
-     * caught dynamically through any level of indirection. Release
-     * builds compile all of it to nothing.
+     * The domain-ownership checker (DESIGN.md section 16). A rig
+     * adopts the allocations its domain owns at construction, and
+     * every domain adopts its own queue. BSSD_OWN_GUARD() sites on
+     * hot mutation paths (EventQueue::schedule among them) then panic
+     * when a thread executing another domain's window touches an
+     * adopted span, through any level of indirection. Release builds
+     * compile all of it to nothing.
      * @{
      */
 #ifdef BSSD_DOMAIN_CHECK

@@ -173,7 +173,8 @@ ParallelEngine::lookahead(std::uint32_t src, std::uint32_t dst) const
 }
 
 void
-Domain::post(Domain &target, Tick when, EventQueue::Callback cb)
+Domain::post(Domain &target, Tick when, TraceContext ctx,
+             EventQueue::Callback cb)
 {
     if (engine_ == nullptr || target.engine_ != engine_)
         panic("post from '", name_, "' to '", target.name_,
@@ -186,14 +187,6 @@ Domain::post(Domain &target, Tick when, EventQueue::Callback cb)
         panic("post from '", name_, "' to '", target.name_,
               "' at ", when, " violates lookahead ", look, " (now ",
               queue_.now(), ")");
-    outbox_.push_back(Message{when, nextSeq_++, target.id_,
-                              std::move(cb)});
-}
-
-void
-Domain::post(Domain &target, Tick when, TraceContext ctx,
-             EventQueue::Callback cb)
-{
     if constexpr (traceCompiled) {
         if (ctx.trace != 0) {
             // Wrap the callback so the request identity is in scope in
@@ -202,19 +195,18 @@ Domain::post(Domain &target, Tick when, TraceContext ctx,
             // tracer pointer is read at delivery time (inside the
             // target's window), honoring the domain-ownership rule.
             Domain *tgt = &target;
-            post(target, when,
-                 [tgt, ctx, inner = std::move(cb)]() mutable {
-                     Tracer *tr = tgt->tracer_;
-                     if (tr)
-                         tr->pushContext(ctx);
-                     inner();
-                     if (tr)
-                         tr->popContext();
-                 });
-            return;
+            cb = [tgt, ctx, inner = std::move(cb)]() mutable {
+                Tracer *tr = tgt->tracer_;
+                if (tr)
+                    tr->pushContext(ctx);
+                inner();
+                if (tr)
+                    tr->popContext();
+            };
         }
     }
-    post(target, when, std::move(cb));
+    outbox_.push_back(Message{when, nextSeq_++, target.id_,
+                              std::move(cb)});
 }
 
 void

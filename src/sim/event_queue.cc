@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/domain.hh"
 #include "sim/logging.hh"
 
 namespace bssd::sim
@@ -36,6 +37,9 @@ EventQueue::releaseSlot(std::uint32_t slot)
 EventQueue::EventId
 EventQueue::schedule(Tick when, Callback cb)
 {
+    // A domain's queue is adopted by that domain: only its own window
+    // (or code outside every window, like barrier delivery) schedules.
+    BSSD_OWN_GUARD(this);
     if (when < now_)
         panic("event scheduled in the past: ", when, " < ", now_);
     std::uint32_t slot = allocSlot();

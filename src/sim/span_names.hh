@@ -17,15 +17,16 @@
  * "tp" instants fed from sim/tracepoint.hh) are outside this table by
  * design: the lint rule only checks string literals.
  *
- * Both tables are sorted (cat, then name; plain lexicographic for
- * phases) and duplicate-free; tests/lint/test_lint.cc and the lint
- * table-health checks enforce that.
+ * Both tables ascend strictly (cat, then name; plain lexicographic for
+ * phases), so they are sorted and duplicate-free; the static_asserts
+ * below enforce that at build time.
  */
 
 #ifndef BSSD_SIM_SPAN_NAMES_HH
 #define BSSD_SIM_SPAN_NAMES_HH
 
 #include <cstddef>
+#include <span>
 #include <string_view>
 
 namespace bssd::sim
@@ -103,6 +104,37 @@ inline constexpr const char *kPhaseNames[] = {
 /** Number of canonical phase names. */
 inline constexpr std::size_t phaseNameCount =
     sizeof(kPhaseNames) / sizeof(kPhaseNames[0]);
+
+/** True when @p table ascends strictly by (cat, name). */
+constexpr bool
+spanTableSorted(std::span<const SpanName> table)
+{
+    for (std::size_t i = 1; i < table.size(); ++i) {
+        const std::string_view prevCat = table[i - 1].cat;
+        const std::string_view cat = table[i].cat;
+        if (prevCat > cat ||
+            (prevCat == cat &&
+             std::string_view(table[i - 1].name) >= table[i].name))
+            return false;
+    }
+    return true;
+}
+
+/** True when @p table ascends strictly. */
+constexpr bool
+phaseTableSorted(std::span<const char *const> table)
+{
+    for (std::size_t i = 1; i < table.size(); ++i) {
+        if (std::string_view(table[i - 1]) >= table[i])
+            return false;
+    }
+    return true;
+}
+
+static_assert(spanTableSorted(kSpanNames),
+              "kSpanNames must ascend strictly by (cat, name)");
+static_assert(phaseTableSorted(kPhaseNames),
+              "kPhaseNames must ascend strictly");
 
 /** True when (cat, name) is a canonical span identity. */
 constexpr bool

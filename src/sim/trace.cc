@@ -5,6 +5,8 @@
 #include <ostream>
 
 #include "sim/logging.hh"
+// Compiles the span vocabulary's static_asserts into every build.
+#include "sim/span_names.hh"
 
 namespace bssd::sim
 {

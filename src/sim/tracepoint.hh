@@ -15,6 +15,7 @@
 #ifndef BSSD_SIM_TRACEPOINT_HH
 #define BSSD_SIM_TRACEPOINT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -113,10 +114,35 @@ tpName(Tp tp)
 }
 
 /**
+ * True when @p name follows the tracepoint grammar: a lowercase layer
+ * namespace, one dot, then a step name of letters and digits that
+ * starts with a letter ("ba.dumpChunk"). bssd-lint's xcheck-tracepoint
+ * uses it to tell tracepoint-shaped literals from other dotted names.
+ */
+constexpr bool
+tpNameWellFormed(std::string_view name)
+{
+    const std::size_t dot = name.find('.');
+    if (dot == std::string_view::npos || dot == 0 || dot + 1 >= name.size())
+        return false;
+    for (std::size_t i = 0; i < dot; ++i) {
+        if (name[i] < 'a' || name[i] > 'z')
+            return false;
+    }
+    for (std::size_t i = dot + 1; i < name.size(); ++i) {
+        const char c = name[i];
+        const bool letter = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+        const bool digit = c >= '0' && c <= '9';
+        if (!letter && !(digit && i > dot + 1))
+            return false;
+    }
+    return true;
+}
+
+/**
  * Inverse of tpName(): resolve a canonical name back to its enum
  * value, or nullopt for anything that is not exactly a tracepoint
- * name. Used by tooling (bssd-lint cross-checks, repro-line parsers)
- * and round-trip tested in tests/sim/test_tracepoint.cc.
+ * name. Round-trip tested in tests/sim/test_tracepoint.cc.
  */
 constexpr std::optional<Tp>
 tpFromName(std::string_view name)
@@ -128,6 +154,19 @@ tpFromName(std::string_view name)
     }
     return std::nullopt;
 }
+
+// Every Tp has a case in tpName() (a missing one yields "?"), and each
+// name is well formed and maps back to its own Tp, so none repeats.
+static_assert(
+    [] {
+        for (std::uint32_t i = 0; i < tpCount; ++i) {
+            const Tp tp = static_cast<Tp>(i);
+            if (!tpNameWellFormed(tpName(tp)) || tpFromName(tpName(tp)) != tp)
+                return false;
+        }
+        return true;
+    }(),
+    "every Tp needs a case in tpName() returning a unique ns.name string");
 
 } // namespace bssd::sim
 

@@ -161,12 +161,9 @@ class SsdDevice
      * them (DESIGN.md section 16).
      * @{
      */
-    // bssd-lint: allow(own-raw-handle-escape) same-domain composition
     ftl::Ftl &ftl() { return *ftl_; }
     const ftl::Ftl &ftl() const { return *ftl_; }
-    // bssd-lint: allow(own-raw-handle-escape) same-domain composition
     nand::NandFlash &flash() { return *flash_; }
-    // bssd-lint: allow(own-raw-handle-escape) same-domain composition
     pcie::PcieLink &link() { return link_; }
     /**
      * The device's simulation domain. Device-internal background

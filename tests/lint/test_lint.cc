@@ -2,9 +2,10 @@
  * @file
  * Tests for bssd-lint itself: the fixture corpus under
  * tests/lint/fixtures/ (one bad + one good file per rule), suppression
- * semantics, byte-stable --json output, and the cross-check that the
- * table the analyzer parses out of src/sim/tracepoint.hh is the same
- * table the runtime compiles in.
+ * semantics, byte-stable --json output, the cross-check that the
+ * tables the analyzer parses out of src/sim/tracepoint.hh and
+ * src/sim/span_names.hh are the tables the runtime compiles in, and
+ * the error when a root lacks them.
  *
  * BSSD_SOURCE_ROOT is injected by tests/CMakeLists.txt and points at
  * the repository root, so runLint() here sees exactly what the CI gate
@@ -13,12 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
-#include <vector>
+
+#include <unistd.h>
 
 #include "lint/lint.hh"
 #include "sim/span_names.hh"
@@ -57,7 +60,6 @@ TEST(LintFixtures, EachBadFixtureTriggersExactlyItsRule)
 {
     const std::map<std::string, std::string> expect = {
         {"bad_wallclock.cc", "det-wallclock"},
-        {"bad_cross_domain_schedule.cc", "det-cross-domain-schedule"},
         {"bad_unordered_member.cc", "det-unordered-member"},
         {"bad_unordered_iter.cc", "det-unordered-iter"},
         {"bad_static_local.cc", "det-static-local"},
@@ -68,10 +70,13 @@ TEST(LintFixtures, EachBadFixtureTriggersExactlyItsRule)
         {"bad_span_name.cc", "xcheck-span-name"},
         {"bad_metric_path.cc", "xcheck-metric-path"},
         {"bad_suppression.cc", "lint-suppression"},
-        {"bad_own_cross_domain_access.cc", "own-cross-domain-access"},
-        {"bad_own_post_ctx_missing.cc", "own-post-ctx-missing"},
-        {"bad_own_raw_handle_escape.cc", "own-raw-handle-escape"},
     };
+    // Every catalogued rule has a bad fixture that shows it firing.
+    std::set<std::string> covered;
+    for (const auto &[file, rule] : expect)
+        covered.insert(rule);
+    for (const auto &info : ruleCatalog())
+        EXPECT_TRUE(covered.count(info.id)) << info.id;
     for (const auto &[file, rule] : expect) {
         LintResult r = lintPath(kFixtures + file);
         EXPECT_TRUE(r.errors.empty()) << file;
@@ -89,24 +94,21 @@ TEST(LintFixtures, EachBadFixtureTriggersExactlyItsRule)
 
 TEST(LintFixtures, GoodFixturesAreClean)
 {
-    const std::vector<std::string> good = {
-        "good_wallclock.cc",       "good_unordered_member.cc",
-        "good_unordered_iter.cc",  "good_static_local.cc",
-        "good_include_guard.hh",   "good_using_namespace.hh",
-        "good_ticks_literal.cc",   "good_tracepoint.cc",
-        "good_metric_path.cc",     "good_suppression.cc",
-        "good_cross_domain_schedule.cc", "good_span_name.cc",
-        "good_own_cross_domain_access.cc",
-        "good_own_post_ctx_missing.cc",
-        "good_own_raw_handle_escape.cc",
-    };
-    for (const auto &file : good) {
+    // Every good_* file on disk, as CI's self-test loop runs them.
+    std::size_t checked = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(kRoot) + "/" + kFixtures)) {
+        const std::string file = entry.path().filename().string();
+        if (file.rfind("good_", 0) != 0)
+            continue;
+        ++checked;
         LintResult r = lintPath(kFixtures + file);
         EXPECT_TRUE(r.clean()) << file << ": "
                                << (r.violations.empty()
                                        ? std::string("io error")
                                        : r.violations[0].message);
     }
+    EXPECT_EQ(checked, ruleCatalog().size());
 }
 
 TEST(LintFixtures, SuppressionCasesAreViolationsThemselves)
@@ -147,7 +149,7 @@ TEST(LintTracepoints, ParsedTableMatchesRuntimeTable)
     // The analyzer parses src/sim/tracepoint.hh; the runtime compiles
     // it. Both views must agree name-for-name, in enum order.
     LintResult r = lintPath("tests/lint/fixtures/good_tracepoint.cc");
-    ASSERT_TRUE(r.tracepointTableLoaded);
+    ASSERT_TRUE(r.errors.empty());
     ASSERT_EQ(r.tracepointNames.size(), bssd::sim::tpCount);
     for (std::uint32_t i = 0; i < bssd::sim::tpCount; ++i) {
         const auto tp = static_cast<bssd::sim::Tp>(i);
@@ -156,62 +158,12 @@ TEST(LintTracepoints, ParsedTableMatchesRuntimeTable)
     }
 }
 
-TEST(LintTracepoints, MalformedTableIsFlagged)
-{
-    // A duplicate name, a grammar violation, and an enum/name count
-    // mismatch, delivered through lintBuffer at the canonical path so
-    // the table self-check rule engages.
-    const std::string path = "src/sim/tracepoint.hh";
-    const std::string src = R"(
-#ifndef BSSD_SIM_TRACEPOINT_HH
-#define BSSD_SIM_TRACEPOINT_HH
-
-enum class Tp : std::uint8_t
-{
-    aOne,
-    aTwo,
-    aThree,
-    count_
-};
-
-constexpr const char *
-tpName(Tp tp)
-{
-    switch (tp) {
-      case Tp::aOne: return "a.one";
-      case Tp::aTwo: return "a.one";
-      case Tp::count_: break;
-    }
-    return "?";
-}
-
-#endif // BSSD_SIM_TRACEPOINT_HH
-)";
-    LexedFile f = lex(path, src);
-    ProjectTables tables;
-    parseTracepointTable(f, tables);
-    tables.tracepointTableLoaded = true;
-    collectFileTables(f, tables);
-    auto violations = lintBuffer(path, src, tables);
-    std::set<std::string> messages;
-    for (const auto &v : violations) {
-        EXPECT_EQ(v.rule, "xcheck-tracepoint-table");
-        messages.insert(v.message);
-    }
-    EXPECT_TRUE(messages.count("duplicate tracepoint name 'a.one'"));
-    bool countMismatch = false;
-    for (const auto &m : messages)
-        if (m.find("enum class Tp has 3 entries") != std::string::npos)
-            countMismatch = true;
-    EXPECT_TRUE(countMismatch);
-}
-
 TEST(LintSpanNames, BadFixtureFlagsBothSpanAndPhase)
 {
     // One typo'd (cat, name) pair plus one typo'd phase name: both
     // surface, nothing else does.
     LintResult r = lintPath(kFixtures + "bad_span_name.cc");
-    ASSERT_TRUE(r.spanTableLoaded);
+    ASSERT_TRUE(r.errors.empty());
     ASSERT_EQ(r.violations.size(), 2u);
     EXPECT_NE(r.violations[0].message.find("'wal.comit'"),
               std::string::npos);
@@ -231,7 +183,6 @@ TEST(LintSpanNames, ParsedTableMatchesRuntimeTable)
     LexedFile f = lex("src/sim/span_names.hh", ss.str());
     ProjectTables tables;
     parseSpanNameTable(f, tables);
-    ASSERT_TRUE(tables.spanTableLoaded);
     ASSERT_EQ(tables.spanNames.size(), bssd::sim::spanNameCount);
     for (std::size_t i = 0; i < bssd::sim::spanNameCount; ++i) {
         EXPECT_EQ(tables.spanNames[i].first,
@@ -248,99 +199,33 @@ TEST(LintSpanNames, ParsedTableMatchesRuntimeTable)
     }
 }
 
-TEST(LintSpanNames, MalformedTableIsFlagged)
+TEST(LintTables, MissingTablesAreErrors)
 {
-    // Out-of-order span pair and a duplicated phase, delivered through
-    // lintBuffer at the canonical path so the table self-check runs.
-    const std::string path = "src/sim/span_names.hh";
-    const std::string src = R"(
-#ifndef BSSD_SIM_SPAN_NAMES_HH
-#define BSSD_SIM_SPAN_NAMES_HH
-
-inline constexpr SpanName kSpanNames[] = {
-    {"wal", "commit"},
-    {"ba", "flush"},
-};
-
-inline constexpr const char *kPhaseNames[] = {
-    "dma",
-    "dma",
-};
-
-#endif // BSSD_SIM_SPAN_NAMES_HH
-)";
-    LexedFile f = lex(path, src);
-    ProjectTables tables;
-    parseSpanNameTable(f, tables);
-    ASSERT_TRUE(tables.spanTableLoaded);
-    auto violations = lintBuffer(path, src, tables);
-    std::set<std::string> rules;
-    for (const auto &v : violations)
-        rules.insert(v.rule);
-    EXPECT_EQ(rules, std::set<std::string>{"xcheck-span-table"});
-    ASSERT_EQ(violations.size(), 2u);
-    // Both land on line 1; sort order is by message (kPhaseNames
-    // before kSpanNames).
-    EXPECT_NE(violations[0].message.find("'dma'"), std::string::npos);
-    EXPECT_NE(violations[1].message.find("'ba.flush'"),
-              std::string::npos);
-}
-
-TEST(LintOwnership, LiveTreeSitesStillDetectedWhenUnsuppressed)
-{
-    // The justified raw-handle escapes in src/ssd/ssd_device.hh are
-    // real rule hits: neutralize the markers and the violations must
-    // come back. Unit-level twin of CI's bad-fixture self-test - this
-    // fails if own-raw-handle-escape is ever disabled or the accessor
-    // block stops being covered.
-    std::ifstream in(std::string(kRoot) + "/src/ssd/ssd_device.hh",
-                     std::ios::binary);
-    ASSERT_TRUE(in.good());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    std::string src = ss.str();
-    std::size_t neutralized = 0;
-    for (std::size_t at = src.find("bssd-lint:");
-         at != std::string::npos; at = src.find("bssd-lint:", at + 1)) {
-        src[at] = 'x';
-        ++neutralized;
-    }
-    ASSERT_GT(neutralized, 0u);
-    auto violations =
-        lintBuffer("src/ssd/ssd_device.hh", src, ProjectTables{});
-    std::set<std::string> rules;
-    for (const auto &v : violations)
-        rules.insert(v.rule);
-    EXPECT_EQ(rules, std::set<std::string>{"own-raw-handle-escape"});
-}
-
-TEST(LintSuppressions, AuditInventoriesMarkers)
-{
-    // --warn-unused-suppressions reports every marker with its match
-    // status; the plain run keeps the inventory (and its json block)
-    // out entirely so default reports stay byte-identical.
+    // A --root without the canonical tables (or with tables that parse
+    // empty) would silently switch off xcheck-tracepoint and
+    // xcheck-span-name; runLint must report an error instead.
+    namespace fs = std::filesystem;
+    const fs::path root = fs::path(::testing::TempDir()) /
+                          ("lint_no_tables_" + std::to_string(::getpid()));
+    fs::remove_all(root);
+    fs::create_directories(root);
+    fs::copy_file(fs::path(kRoot) / kFixtures / "bad_tracepoint.cc",
+                  root / "bad_tracepoint.cc");
     LintOptions opts;
-    opts.root = kRoot;
-    opts.paths = {kFixtures + "good_suppression.cc"};
-    opts.auditSuppressions = true;
+    opts.root = root.string();
+    opts.paths = {"bad_tracepoint.cc"};
     LintResult r = runLint(opts);
-    EXPECT_TRUE(r.clean());
-    ASSERT_FALSE(r.suppressions.empty());
-    for (const auto &s : r.suppressions) {
-        EXPECT_TRUE(s.used) << s.file << ":" << s.line;
-        EXPECT_GT(s.targetLine, 0);
-        EXPECT_TRUE(knownRule(s.rule)) << s.rule;
-    }
-    std::ostringstream js;
-    writeJson(r, js);
-    EXPECT_NE(js.str().find("\"suppressions\""), std::string::npos);
+    EXPECT_FALSE(r.clean());
+    ASSERT_EQ(r.errors.size(), 2u);
+    EXPECT_NE(r.errors[0].find("tracepoint table"), std::string::npos);
+    EXPECT_NE(r.errors[1].find("span table"), std::string::npos);
 
-    opts.auditSuppressions = false;
-    LintResult plain = runLint(opts);
-    EXPECT_TRUE(plain.suppressions.empty());
-    std::ostringstream pj;
-    writeJson(plain, pj);
-    EXPECT_EQ(pj.str().find("\"suppressions\""), std::string::npos);
+    // Present but unparseable: still an error, not a silent pass.
+    fs::create_directories(root / "src/sim");
+    std::ofstream(root / "src/sim/tracepoint.hh") << "// renamed\n";
+    std::ofstream(root / "src/sim/span_names.hh") << "// renamed\n";
+    EXPECT_EQ(runLint(opts).errors.size(), 2u);
+    fs::remove_all(root);
 }
 
 TEST(LintCatalog, RuleIdsAreSortedAndKnown)
@@ -368,5 +253,4 @@ TEST(LintRepo, TreeIsCleanUnderTheSameGateAsCi)
     for (const auto &v : r.violations)
         ADD_FAILURE() << v.file << ":" << v.line << " [" << v.rule
                       << "] " << v.message;
-    EXPECT_TRUE(r.tracepointTableLoaded);
 }

@@ -30,7 +30,6 @@ TEST(Domain, StandaloneActsAsQueueOwner)
 {
     Domain d("solo");
     int hits = 0;
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     d.queue().schedule(10, [&] { ++hits; });
     d.queue().runUntil(20);
     EXPECT_EQ(hits, 1);
@@ -42,13 +41,13 @@ TEST(Domain, StandaloneActsAsQueueOwner)
 TEST(Domain, PostWithoutEngineOrChannelPanics)
 {
     Domain a("a"), b("b");
-    EXPECT_THROW(a.post(b, 100, [] {}), SimPanic);
+    EXPECT_THROW(a.post(b, 100, {}, [] {}), SimPanic);
 
     ParallelEngine eng(1);
     eng.add(a);
     eng.add(b);
     // Registered but not connected: still an error.
-    EXPECT_THROW(a.post(b, 100, [] {}), SimPanic);
+    EXPECT_THROW(a.post(b, 100, {}, [] {}), SimPanic);
 }
 
 TEST(Domain, PostViolatingLookaheadPanics)
@@ -58,8 +57,8 @@ TEST(Domain, PostViolatingLookaheadPanics)
     eng.add(a);
     eng.add(b);
     eng.connect(a, b, 50);
-    EXPECT_THROW(a.post(b, 49, [] {}), SimPanic);
-    a.post(b, 50, [] {}); // exactly the lookahead: allowed
+    EXPECT_THROW(a.post(b, 49, {}, [] {}), SimPanic);
+    a.post(b, 50, {}, [] {}); // exactly the lookahead: allowed
     eng.run(100);
     EXPECT_EQ(eng.messagesDelivered(), 1u);
 }
@@ -83,7 +82,6 @@ TEST(ParallelEngine, RunAdvancesEveryClockToHorizon)
     eng.add(a);
     eng.add(b);
     int hits = 0;
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     a.queue().schedule(40, [&] { ++hits; });
     EXPECT_EQ(eng.run(100), 1u);
     EXPECT_EQ(hits, 1);
@@ -108,16 +106,15 @@ TEST(ParallelEngine, CrossDomainPingPong)
         // Runs in pong's domain.
         pongTimes.push_back(pong.now());
         if (pongTimes.size() < 4) {
-            pong.post(ping, pong.now() + kHop, [&] {
+            pong.post(ping, pong.now() + kHop, {}, [&] {
                 pingTimes.push_back(ping.now());
-                ping.post(pong, ping.now() + kHop, volley);
+                ping.post(pong, ping.now() + kHop, {}, volley);
             });
         }
     };
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     ping.queue().schedule(10, [&] {
         pingTimes.push_back(ping.now());
-        ping.post(pong, 110, volley);
+        ping.post(pong, 110, {}, volley);
     });
     eng.run(usOf(10));
 
@@ -133,7 +130,6 @@ TEST(ParallelEngine, PanicInsideDomainPropagates)
         ParallelEngine eng(threads);
         eng.add(a);
         eng.add(b);
-        // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
         a.queue().schedule(10, [] { panic("boom"); });
         EXPECT_THROW(eng.run(100), SimPanic);
     }
@@ -178,14 +174,13 @@ mailboxScenario(unsigned threads, std::uint64_t seed)
             const std::uint64_t tag = payload++;
             const std::uint32_t sid = s;
             (void)tag;
-            // bssd-lint: allow(det-cross-domain-schedule) own domain
             dom.queue().schedule(at, [&, extra, sid] {
                 Domain &d = *senders[sid];
                 const Tick when = d.now() + kLook + extra;
                 // The engine's ordering key is the send sequence, so
                 // record the sender's counter at post time.
                 const std::uint64_t seq = d.messagesSent();
-                d.post(target, when, [&, when, seq, sid] {
+                d.post(target, when, {}, [&, when, seq, sid] {
                     observed.emplace_back(when, sid, seq);
                 });
             });
@@ -228,7 +223,6 @@ TEST(Domain, ContextPostDeliversContextInTheTargetDomain)
 
     const TraceContext ctx{7, (std::uint64_t(1) << 32) | 3};
     std::size_t depthInside = 0;
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     host.queue().schedule(5, [&] {
         host.post(shard, 20, ctx, [&] {
             // The request identity is in scope while the callback runs
@@ -259,7 +253,6 @@ TEST(Domain, EmptyContextPostIsAPlainPost)
     Tracer tracer;
     b.setTracer(&tracer);
     std::size_t depthInside = ~std::size_t(0);
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     a.queue().schedule(1, [&] {
         a.post(b, 20, TraceContext{}, [&] {
             depthInside = tracer.contextDepth();
@@ -285,15 +278,13 @@ pingPongLoad(Domain &a, Domain &b, ParallelEngine &eng)
     // Staggered local events on both sides, each posting across: the
     // windows keep being bounded by both channels in turn.
     for (Tick t = 10; t < 3000; t += 70) {
-        // bssd-lint: allow(det-cross-domain-schedule) own domain
         a.queue().schedule(t, [&a, &b] {
-            a.post(b, a.now() + kToB, [] {});
+            a.post(b, a.now() + kToB, {}, [] {});
         });
     }
     for (Tick t = 30; t < 3000; t += 110) {
-        // bssd-lint: allow(det-cross-domain-schedule) own domain
         b.queue().schedule(t, [&a, &b] {
-            b.post(a, b.now() + kToA, [] {});
+            b.post(a, b.now() + kToA, {}, [] {});
         });
     }
 }

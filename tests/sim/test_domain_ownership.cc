@@ -2,13 +2,16 @@
  * @file
  * Runtime domain-ownership sanitizer tests (BSSD_DOMAIN_CHECK).
  *
- * The sanitizer is the dynamic twin of bssd-lint's own-* rules: rigs
- * adopt their allocations into their domain, the engine tracks which
- * domain each worker thread is executing, and BSSD_OWN_GUARD panics on
- * a cross-domain touch. These tests drive a deliberate violation (must
- * panic at every thread count) and the sanctioned mailbox path (must
- * not), plus the exemptions the guard grants. In release builds the
- * whole suite skips - the macro compiles to nothing there.
+ * The sanitizer is the one enforcement of the domain discipline
+ * (DESIGN.md section 16): rigs adopt their allocations into their
+ * domain, every domain adopts its own event queue, the engine tracks
+ * which domain each worker thread is executing, and BSSD_OWN_GUARD
+ * panics on a cross-domain touch. These tests drive deliberate
+ * violations - a foreign state touch and a schedule onto a foreign
+ * queue (both must panic at every thread count) - and the sanctioned
+ * mailbox path (must not), plus the exemptions the guard grants. In
+ * release builds the whole suite skips - the macro compiles to
+ * nothing there.
  */
 
 #include <gtest/gtest.h>
@@ -70,7 +73,6 @@ TEST_P(DomainOwnershipThreads, ForeignDomainTouchPanics)
     Rig rig(GetParam());
     // beta's window directly mutates alpha-owned state: exactly the
     // race the sanitizer exists to catch.
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     rig.beta.queue().schedule(5, [&] {
         BSSD_OWN_GUARD(&rig.counter);
         rig.counter = 1;
@@ -79,15 +81,28 @@ TEST_P(DomainOwnershipThreads, ForeignDomainTouchPanics)
     EXPECT_EQ(rig.counter, 0) << "guard must fire before the mutation";
 }
 
+TEST_P(DomainOwnershipThreads, ForeignQueueSchedulePanics)
+{
+    Rig rig(GetParam());
+    // beta's window schedules straight onto alpha's queue, bypassing
+    // the mailbox: alpha adopted its queue, so schedule() panics
+    // before the event lands.
+    bool ran = false;
+    rig.beta.queue().schedule(5, [&] {
+        rig.alpha.queue().schedule(20, [&] { ran = true; });
+    });
+    EXPECT_THROW(rig.eng.run(100), SimPanic);
+    EXPECT_FALSE(ran) << "the foreign event must never run";
+}
+
 TEST_P(DomainOwnershipThreads, MailboxMediatedAccessPasses)
 {
     Rig rig(GetParam());
     // The sanctioned path: beta posts into alpha, and the callback
     // mutates alpha-owned state while a thread executes alpha's
     // window. The guard must stay silent.
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     rig.beta.queue().schedule(5, [&] {
-        rig.beta.post(rig.alpha, 20, [&] {
+        rig.beta.post(rig.alpha, 20, {}, [&] {
             BSSD_OWN_GUARD(&rig.counter);
             rig.counter += 1;
         });
@@ -106,7 +121,6 @@ TEST(DomainOwnership, CurrentTracksExecutingWindow)
 
     Rig rig(1);
     Domain *seen = nullptr;
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     rig.alpha.queue().schedule(5, [&] { seen = Domain::current(); });
     rig.eng.run(50);
     EXPECT_EQ(seen, &rig.alpha);
@@ -133,7 +147,6 @@ TEST(DomainOwnership, UnregisteredOwnerIsExempt)
     long followerState = 0;
     standalone.adopt(&followerState, sizeof(followerState),
                      "test.follower");
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     rig.beta.queue().schedule(5, [&] {
         BSSD_OWN_GUARD(&followerState);
         followerState = 3;
@@ -147,7 +160,6 @@ TEST(DomainOwnership, ReleaseForgetsTheSpan)
 {
     Rig rig(1);
     rig.alpha.release(&rig.counter);
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     rig.beta.queue().schedule(5, [&] {
         BSSD_OWN_GUARD(&rig.counter);
         rig.counter = 2;
@@ -174,7 +186,6 @@ TEST(DomainOwnership, InnermostSpanWinsNestedLookup)
 
     // alpha touching outer.tail (beta-owned, outside the inner span)
     // must panic; alpha touching outer.inner must not.
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     rig.alpha.queue().schedule(5, [&] {
         BSSD_OWN_GUARD(&outer.inner);
         outer.inner = 1;
@@ -182,7 +193,6 @@ TEST(DomainOwnership, InnermostSpanWinsNestedLookup)
     EXPECT_NO_THROW(rig.eng.run(50));
     EXPECT_EQ(outer.inner, 1);
 
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
     rig.alpha.queue().schedule(60, [&] {
         BSSD_OWN_GUARD(&outer.tail[0]);
         outer.tail[0] = 1;

@@ -4,13 +4,12 @@
  * gate (DESIGN.md section 11).
  *
  * Usage:
- *   bssd_lint [--json] [--root=DIR] [--list-rules]
- *             [--warn-unused-suppressions] [PATH...]
+ *   bssd_lint [--json] [--root=DIR] [--list-rules] [PATH...]
  *
  * PATHs are files or directories (default: src tools bench tests,
  * relative to --root, default "."). Exit code 0 when clean, 1 when
- * violations were found, 2 on usage or I/O errors - so CI can use it
- * as a blocking gate:
+ * violations were found, 2 on usage or I/O errors (a missing canonical
+ * table under --root included) - so CI can use it as a blocking gate:
  *
  *   build/tools/bssd_lint --json src tools bench tests
  */
@@ -32,10 +31,8 @@ usage()
     std::fprintf(
         stderr,
         "usage: bssd_lint [--json] [--root=DIR] [--list-rules] "
-        "[--warn-unused-suppressions] [PATH...]\n"
+        "[PATH...]\n"
         "  PATHs default to: src tools bench tests\n"
-        "  --warn-unused-suppressions inventories every marker with "
-        "its match status\n"
         "  exit: 0 clean, 1 violations, 2 usage/IO error\n");
 }
 
@@ -54,8 +51,6 @@ main(int argc, char **argv)
             json = true;
         } else if (arg == "--list-rules") {
             listRules = true;
-        } else if (arg == "--warn-unused-suppressions") {
-            opts.auditSuppressions = true;
         } else if (arg.rfind("--root=", 0) == 0) {
             opts.root = arg.substr(7);
         } else if (arg == "--help" || arg == "-h") {
