@@ -134,21 +134,40 @@ BaBuffer::postWrite(sim::Tick arrival, std::uint64_t offset,
                     std::span<const std::uint8_t> data)
 {
     checkRange(offset, data.size());
-    pending_.push_back(
-        Pending{arrival, offset, {data.begin(), data.end()}});
+    pending_.push_back(Pending{arrival, offset, arena_.size(), data.size()});
+    arena_.insert(arena_.end(), data.begin(), data.end());
+    pendingBytes_ += data.size();
 }
 
 void
 BaBuffer::settleTo(sim::Tick t)
 {
-    // Posted writes are applied in issue order; arrival times are
-    // monotonic per link, but guard against reordering anyway by
-    // applying every pending write whose arrival has passed.
-    while (!pending_.empty() && pending_.front().arrival <= t) {
-        const Pending &p = pending_.front();
-        std::copy(p.data.begin(), p.data.end(),
-                  data_.begin() + static_cast<std::ptrdiff_t>(p.offset));
-        pending_.pop_front();
+    // Posted writes apply in the order they were posted, which is the
+    // order the link delivers them: the arrived prefix of the queue
+    // settles.
+    while (head_ < pending_.size() && pending_[head_].arrival <= t) {
+        const Pending &p = pending_[head_++];
+        std::copy_n(arena_.begin() + static_cast<std::ptrdiff_t>(p.pos),
+                    p.len,
+                    data_.begin() + static_cast<std::ptrdiff_t>(p.offset));
+        pendingBytes_ -= p.len;
+    }
+    if (head_ == pending_.size()) {
+        resetQueue();
+        return;
+    }
+    // Compact once the settled bytes outnumber the ones in flight, so
+    // the arena stays within twice pendingBytes(); each settled byte
+    // pays for at most one byte moved.
+    const std::size_t settled = pending_[head_].pos;
+    if (settled > arena_.size() - settled) {
+        arena_.erase(arena_.begin(),
+                     arena_.begin() + static_cast<std::ptrdiff_t>(settled));
+        pending_.erase(pending_.begin(),
+                       pending_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+        for (Pending &p : pending_)
+            p.pos -= settled;
     }
 }
 
@@ -156,10 +175,8 @@ std::uint64_t
 BaBuffer::powerLossAt(sim::Tick t, sim::Tick dropAfter)
 {
     settleTo(std::min(t, dropAfter));
-    std::uint64_t lost = 0;
-    for (const auto &p : pending_)
-        lost += p.data.size();
-    pending_.clear();
+    const std::uint64_t lost = pendingBytes_;
+    resetQueue();
     return lost;
 }
 
@@ -180,13 +197,11 @@ BaBuffer::read(std::uint64_t offset, std::span<std::uint8_t> out) const
                 out.size(), out.begin());
 }
 
-std::uint64_t
-BaBuffer::pendingBytes() const
+std::span<std::uint8_t>
+BaBuffer::span(std::uint64_t offset, std::uint64_t len)
 {
-    std::uint64_t n = 0;
-    for (const auto &p : pending_)
-        n += p.data.size();
-    return n;
+    checkRange(offset, len);
+    return std::span<std::uint8_t>(data_).subspan(offset, len);
 }
 
 void
@@ -195,7 +210,7 @@ BaBuffer::clear()
     std::fill(data_.begin(), data_.end(), 0);
     for (auto &e : table_)
         e.valid = false;
-    pending_.clear();
+    resetQueue();
 }
 
 void
@@ -213,7 +228,16 @@ BaBuffer::restore(std::span<const std::uint8_t> contents,
             sim::panic("BA-buffer restore: too many table entries");
         table_[i++] = e;
     }
+    resetQueue();
+}
+
+void
+BaBuffer::resetQueue()
+{
     pending_.clear();
+    head_ = 0;
+    arena_.clear();
+    pendingBytes_ = 0;
 }
 
 } // namespace bssd::ba

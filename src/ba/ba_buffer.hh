@@ -14,13 +14,14 @@
  *     buffer therefore keeps a pending queue of in-flight posted
  *     writes stamped with their arrival tick; settleTo() applies the
  *     arrived prefix, powerLossAt() applies it and discards the rest.
+ *     The queue's bytes live in one arena, so posting a write copies
+ *     it once and allocates nothing once the arena has grown.
  */
 
 #ifndef BSSD_BA_BA_BUFFER_HH
 #define BSSD_BA_BA_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -92,9 +93,18 @@ class BaBuffer
     std::uint64_t powerLossAt(sim::Tick t,
                               sim::Tick dropAfter = sim::maxTick);
 
-    /** Direct device-side write (internal datapath, BA_PIN fill). */
+    /** Direct device-side write (the power-cut delivery of torn WC
+     *  lines). */
     void deviceWrite(std::uint64_t offset,
                      std::span<const std::uint8_t> data);
+
+    /**
+     * Settled contents of [offset, offset+len), range-checked: what
+     * the internal datapath moves between the buffer and NAND in
+     * place (BA_PIN reads NAND into it, BA_FLUSH programs NAND from
+     * it). Like read(), it sees no posted write that has not settled.
+     */
+    std::span<std::uint8_t> span(std::uint64_t offset, std::uint64_t len);
 
     /**
      * Read settled contents. @pre the caller settled to the read time
@@ -103,7 +113,12 @@ class BaBuffer
     void read(std::uint64_t offset, std::span<std::uint8_t> out) const;
 
     /** Bytes posted but not yet settled (diagnostics/tests). */
-    std::uint64_t pendingBytes() const;
+    std::uint64_t pendingBytes() const { return pendingBytes_; }
+
+    /** Bytes the posted-write arena holds: 0 once the queue has
+     *  drained, at most twice pendingBytes() while it has not
+     *  (tests). */
+    std::uint64_t arenaBytes() const { return arena_.size(); }
 
     /** @} */
 
@@ -115,20 +130,32 @@ class BaBuffer
                  const std::vector<MapEntry> &table);
 
   private:
+    /** A posted write in flight: its bytes are arena_[pos, pos+len). */
     struct Pending
     {
         sim::Tick arrival;
         std::uint64_t offset;
-        std::vector<std::uint8_t> data;
+        std::size_t pos;
+        std::size_t len;
     };
 
     BaConfig cfg_;
     std::vector<std::uint8_t> data_;
     std::vector<MapEntry> table_;
-    std::deque<Pending> pending_;
+    /** The posted-write FIFO: pending_[head_..] are in flight, in
+     *  posting order; the records before head_ have settled. */
+    std::vector<Pending> pending_;
+    std::size_t head_ = 0;
+    /** The in-flight writes' bytes, in posting order. Emptied whenever
+     *  the queue drains, and compacted when the settled prefix
+     *  outgrows the bytes still in flight. */
+    std::vector<std::uint8_t> arena_;
+    std::uint64_t pendingBytes_ = 0;
 
     const MapEntry *find(Eid eid) const;
     void checkRange(std::uint64_t offset, std::uint64_t len) const;
+    /** Forget every posted write (applied or dropped by the caller). */
+    void resetQueue();
 };
 
 } // namespace bssd::ba

@@ -1,7 +1,6 @@
 #include "ba/two_b_ssd.hh"
 
 #include <algorithm>
-#include <vector>
 
 #include "sim/logging.hh"
 
@@ -173,12 +172,12 @@ TwoBSsd::baPin(sim::Tick ready, Eid eid, std::uint64_t offset,
     buffer_.addEntry(eid, offset, lba, length, ps);
 
     sim::Tick t = ready + baCfg_.apiCost;
-    // NAND -> controller DRAM through the internal datapath; the
-    // media phase and the firmware copy overlap.
-    std::vector<std::uint8_t> staging(length);
-    auto media = device_.ftl().read(t, lba / ps, length / ps, staging);
+    // NAND -> controller DRAM through the internal datapath, straight
+    // into the pinned range; the media phase and the firmware copy
+    // overlap.
+    auto media = device_.ftl().read(t, lba / ps, length / ps,
+                                    buffer_.span(offset, length));
     auto move = internalMove(t, length);
-    buffer_.deviceWrite(offset, staging);
     sim::Tick end = std::max(media.end, move.end);
     if (tracer_) {
         tracer_->phase("api", ready, t);
@@ -205,11 +204,9 @@ TwoBSsd::baFlush(sim::Tick ready, Eid eid)
     // The firmware cannot know which bytes are dirty (the CPU wrote
     // them behind its back), so the whole pinned range is written.
     buffer_.settleTo(t);
-    std::vector<std::uint8_t> staging(e.length);
-    buffer_.read(e.startOffset, staging);
     auto move = internalMove(t, e.length);
     auto media = device_.ftl().write(t, e.startLba / ps, e.length / ps,
-                                     staging);
+                                     buffer_.span(e.startOffset, e.length));
     // Success drops the entry (the paper's BA_FLUSH semantics).
     buffer_.removeEntry(eid);
     sim::Tick end = std::max(media.end, move.end);

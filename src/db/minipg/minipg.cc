@@ -22,19 +22,25 @@ enum class XlogOp : std::uint8_t
     multiOp = 6,
 };
 
-void
-put32(std::vector<std::uint8_t> &v, std::uint32_t x)
+/** @name Little-endian stores at @p p; each returns the byte after
+ *  what it wrote. @{ */
+std::uint8_t *
+put32(std::uint8_t *p, std::uint32_t x)
 {
-    for (int i = 0; i < 4; ++i)
-        v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+    p[0] = static_cast<std::uint8_t>(x);
+    p[1] = static_cast<std::uint8_t>(x >> 8);
+    p[2] = static_cast<std::uint8_t>(x >> 16);
+    p[3] = static_cast<std::uint8_t>(x >> 24);
+    return p + 4;
 }
 
-void
-put64(std::vector<std::uint8_t> &v, std::uint64_t x)
+std::uint8_t *
+put64(std::uint8_t *p, std::uint64_t x)
 {
-    for (int i = 0; i < 8; ++i)
-        v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+    put32(p, static_cast<std::uint32_t>(x));
+    return put32(p + 4, static_cast<std::uint32_t>(x >> 32));
 }
+/** @} */
 
 std::uint32_t
 get32(std::span<const std::uint8_t> b, std::size_t &pos)
@@ -63,27 +69,28 @@ isNodeOp(XlogOp op)
            op == XlogOp::deleteNode;
 }
 
-/** Body bytes encodeOp() appends. */
+/** Body bytes encodeOp() writes. */
 std::size_t
 encodedSize(XlogOp op, std::size_t payload_bytes)
 {
     return (isNodeOp(op) ? 1 + 8 + 4 : 1 + 8 + 4 + 8 + 4) + payload_bytes;
 }
 
-/** Append the record body of one operation to @p v: the opcode, the
- *  node id (key.id1) or the whole link key, then the payload. */
-void
-encodeOp(std::vector<std::uint8_t> &v, XlogOp op, const LinkKey &key,
+/** Write the record body of one operation at @p p: the opcode, the
+ *  node id (key.id1) or the whole link key, then the payload.
+ *  @return the byte after it, encodedSize() bytes on. */
+std::uint8_t *
+encodeOp(std::uint8_t *p, XlogOp op, const LinkKey &key,
          std::span<const std::uint8_t> payload)
 {
-    v.push_back(static_cast<std::uint8_t>(op));
-    put64(v, key.id1);
+    *p++ = static_cast<std::uint8_t>(op);
+    p = put64(p, key.id1);
     if (!isNodeOp(op)) {
-        put32(v, key.type);
-        put64(v, key.id2);
+        p = put32(p, key.type);
+        p = put64(p, key.id2);
     }
-    put32(v, static_cast<std::uint32_t>(payload.size()));
-    v.insert(v.end(), payload.begin(), payload.end());
+    p = put32(p, static_cast<std::uint32_t>(payload.size()));
+    return std::copy(payload.begin(), payload.end(), p);
 }
 
 } // namespace
@@ -123,12 +130,19 @@ MiniPg::maybeCheckpoint(sim::Tick now)
     return now;
 }
 
+std::uint8_t *
+MiniPg::startRecord(std::size_t payload_bytes)
+{
+    xlog_.resize(wal::recordHeaderBytes + payload_bytes);
+    return xlog_.data() + wal::recordHeaderBytes;
+}
+
 sim::Tick
 MiniPg::logAndCommit(sim::Tick now)
 {
-    wal::frameRecord(frame_, seq_, xlog_);
+    wal::sealRecord(xlog_, seq_);
     ++seq_;
-    now = log_.append(now, frame_);
+    now = log_.append(now, xlog_);
     now = gc_.commit(now);
     commits_.add();
     return maybeCheckpoint(now);
@@ -210,8 +224,9 @@ MiniPg::commitOp(sim::Tick now, std::uint8_t code, const LinkKey &key,
                  std::span<const std::uint8_t> payload)
 {
     applyOp(code, key, payload);
-    xlog_.clear();
-    encodeOp(xlog_, static_cast<XlogOp>(code), key, payload);
+    const auto op = static_cast<XlogOp>(code);
+    encodeOp(startRecord(encodedSize(op, payload.size())), op, key,
+             payload);
     return logAndCommit(now);
 }
 
@@ -392,15 +407,18 @@ MiniPg::Transaction::commit(sim::Tick now)
     if (ops_.empty())
         return now;
     // One combined XLOG record: all-or-nothing on replay.
-    std::vector<std::uint8_t> &xlog = pg_.xlog_;
-    xlog.clear();
-    xlog.push_back(static_cast<std::uint8_t>(XlogOp::multiOp));
-    put32(xlog, static_cast<std::uint32_t>(ops_.size()));
+    std::size_t bytes = 1 + 4;
+    for (const Op &op : ops_)
+        bytes += 4 + encodedSize(static_cast<XlogOp>(op.code),
+                                 op.payload.size());
+    std::uint8_t *p = pg_.startRecord(bytes);
+    *p++ = static_cast<std::uint8_t>(XlogOp::multiOp);
+    p = put32(p, static_cast<std::uint32_t>(ops_.size()));
     for (const Op &op : ops_) {
         const auto code = static_cast<XlogOp>(op.code);
-        put32(xlog, static_cast<std::uint32_t>(
-                        encodedSize(code, op.payload.size())));
-        encodeOp(xlog, code, op.key, op.payload);
+        p = put32(p, static_cast<std::uint32_t>(
+                         encodedSize(code, op.payload.size())));
+        p = encodeOp(p, code, op.key, op.payload);
         pg_.applyOp(op.code, op.key, op.payload);
     }
     return pg_.logAndCommit(now);

@@ -249,10 +249,10 @@ class MiniPg
     /** First sequence number after the last checkpoint. */
     std::uint64_t snapshotSeq_ = 0;
 
-    /** @name Reused record buffers @{ */
+    /** The record being logged, reused from commit to commit: the
+     *  record header, then the XLOG payload encoded straight behind
+     *  it. */
     std::vector<std::uint8_t> xlog_;
-    std::vector<std::uint8_t> frame_;
-    /** @} */
 
     sim::Counter commits_{"minipg.commits"};
     sim::Counter checkpoints_{"minipg.checkpoints"};
@@ -261,7 +261,10 @@ class MiniPg
     /** One single-operation transaction: apply it, then log it. */
     sim::Tick commitOp(sim::Tick now, std::uint8_t code, const LinkKey &key,
                        std::span<const std::uint8_t> payload);
-    /** Frame xlog_ as the next record, append it and group-commit. */
+    /** Size xlog_ for an XLOG payload of @p payload_bytes; @return
+     *  where the payload goes, behind the reserved record header. */
+    std::uint8_t *startRecord(std::size_t payload_bytes);
+    /** Seal xlog_ as the next record, append it and group-commit. */
     sim::Tick logAndCommit(sim::Tick now);
     sim::Tick maybeCheckpoint(sim::Tick now);
     /** Redo one XLOG record (recovery only). */

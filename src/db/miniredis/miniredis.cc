@@ -129,8 +129,9 @@ void
 MiniRedis::encode(std::uint8_t cmd, std::string_view key,
                   std::span<const std::uint8_t> value)
 {
-    cmd_.resize(1 + 4 + key.size() + 4 + value.size());
-    std::uint8_t *p = cmd_.data();
+    frame_.resize(wal::recordHeaderBytes + 1 + 4 + key.size() + 4 +
+                  value.size());
+    std::uint8_t *p = frame_.data() + wal::recordHeaderBytes;
     *p++ = cmd;
     p = put32(p, static_cast<std::uint32_t>(key.size()));
     p = std::copy(key.begin(), key.end(), p);
@@ -149,7 +150,7 @@ MiniRedis::cpu(sim::Tick now, std::size_t bytes) const
 sim::Tick
 MiniRedis::logCommand(sim::Tick now)
 {
-    wal::frameRecord(frame_, seq_, cmd_);
+    wal::sealRecord(frame_, seq_);
     ++seq_;
     now = aof_.append(now, frame_);
     // appendfsync=always; single-threaded, so no group commit.

@@ -25,7 +25,7 @@
  * sees, follows from the command sequence alone.
  *
  * A command on an existing key allocates nothing once the buffers have
- * grown: it is encoded and framed in member buffers, and a SET
+ * grown: it is encoded in place in one member frame buffer, and a SET
  * overwrites its entry's value buffer in place.
  */
 
@@ -264,19 +264,18 @@ class MiniRedis
     /** First sequence number after the last AOF rewrite. */
     std::uint64_t snapshotSeq_ = 0;
 
-    /** @name Reused command buffers @{ */
-    std::vector<std::uint8_t> cmd_;
+    /** The command being logged, reused from command to command: the
+     *  record header, then the payload encoded straight behind it. */
     std::vector<std::uint8_t> frame_;
-    /** @} */
 
     sim::Counter rewrites_{"miniredis.aofRewrites"};
     sim::Counter commands_{"miniredis.commands"};
 
     sim::Tick cpu(sim::Tick now, std::size_t bytes) const;
-    /** Encode one command into cmd_. */
+    /** Encode one command into frame_, behind its record header. */
     void encode(std::uint8_t cmd, std::string_view key,
                 std::span<const std::uint8_t> value);
-    /** Frame cmd_ as the next record, append and commit it. */
+    /** Seal frame_ as the next record, append and commit it. */
     sim::Tick logCommand(sim::Tick now);
     sim::Tick maybeRewriteAof(sim::Tick now);
     /** Replay one AOF command (recovery only). */

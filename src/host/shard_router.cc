@@ -1,6 +1,7 @@
 #include "host/shard_router.hh"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -339,15 +340,27 @@ ShardRouter::recordLatency(unsigned shard, std::uint64_t lat)
 std::uint64_t
 ShardRouter::windowP99(unsigned shard) const
 {
-    const std::vector<std::uint64_t> &ring = latWindow_[shard];
-    if (ring.empty())
+    return windowP99Of(latWindow_[shard]);
+}
+
+std::uint64_t
+ShardRouter::windowP99Of(std::span<const std::uint64_t> samples)
+{
+    if (samples.empty())
         return 0;
-    std::vector<std::uint64_t> sorted(ring);
-    std::sort(sorted.begin(), sorted.end());
-    // Nearest-rank p99 over whatever the window holds so far.
+    if (samples.size() > kLatencyWindow)
+        sim::panic("windowP99Of: ", samples.size(), " samples exceed the ",
+                   kLatencyWindow, "-sample window");
+    // Nearest-rank p99 over whatever the window holds so far: the
+    // rank-th smallest sample, selected in a copy on the stack.
+    std::array<std::uint64_t, kLatencyWindow> window;
+    const auto last = std::copy(samples.begin(), samples.end(),
+                                window.begin());
     const std::size_t rank =
-        std::min(sorted.size() * 99 / 100, sorted.size() - 1);
-    return sorted[rank];
+        std::min(samples.size() * 99 / 100, samples.size() - 1);
+    const auto nth = window.begin() + static_cast<std::ptrdiff_t>(rank);
+    std::nth_element(window.begin(), nth, last);
+    return *nth;
 }
 
 } // namespace bssd::host

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "sim/client.hh"
@@ -246,6 +247,10 @@ class ShardRouter
 
     /** Sliding-window size of windowP99 (per shard, ring buffer). */
     static constexpr std::size_t kLatencyWindow = 128;
+
+    /** windowP99() of a window holding @p samples, in any order (at
+     *  most kLatencyWindow of them); allocates nothing. */
+    static std::uint64_t windowP99Of(std::span<const std::uint64_t> samples);
 
   private:
     /** A batch waiting for one of its shard's queue pairs to drain. */

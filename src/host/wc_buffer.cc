@@ -145,6 +145,10 @@ sim::Tick
 WcBuffer::flushRange(sim::Tick now, std::uint64_t offset, std::uint64_t len)
 {
     sim::tracepointHit(faults_, tracer_, sim::Tp::wcFlush, now);
+    // An empty range covers no line: nothing to clflush or post, only
+    // the fence.
+    if (len == 0)
+        return now + cfg_.mfenceCost;
     std::uint64_t end =
         len > ~std::uint64_t(0) - offset ? ~std::uint64_t(0) : offset + len;
     // clflush executes once per cache line covered by the range,

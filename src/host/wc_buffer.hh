@@ -80,7 +80,8 @@ class WcBuffer
      * clflush every dirty line intersecting [offset, offset+len) and
      * fence (the paper's clflush+mfence step, Fig. 3). All affected
      * bytes are posted; durability still requires the device-side
-     * write-verify read. @return CPU-free time.
+     * write-verify read. An empty range is the fence alone.
+     * @return CPU-free time.
      */
     sim::Tick flushRange(sim::Tick now, std::uint64_t offset,
                          std::uint64_t len);

@@ -19,8 +19,15 @@
 namespace bssd::wal
 {
 
-/** CRC32 (Castagnoli polynomial), bit-reflected, slice-by-8 tables. */
+/**
+ * CRC32 (Castagnoli polynomial), bit-reflected. Runs on the SSE4.2
+ * crc32 instruction when the CPU has it, else on crc32cPortable().
+ */
 std::uint32_t crc32c(std::span<const std::uint8_t> data);
+
+/** crc32c() from slice-by-8 tables: the path on hosts without SSE4.2,
+ *  and the reference the hardware path is tested against. */
+std::uint32_t crc32cPortable(std::span<const std::uint8_t> data);
 
 /** A parsed, validated log record. */
 struct ParsedRecord
@@ -32,14 +39,18 @@ struct ParsedRecord
 /** Bytes of framing overhead per record. */
 constexpr std::size_t recordHeaderBytes = 4 + 4 + 8;
 
-/** Frame @p payload with sequence number @p seq. */
+/**
+ * Seal a record encoded in place: @p frame is recordHeaderBytes of
+ * reserved header followed by the payload. Writes the length, the
+ * sequence @p seq and the CRC into the header, so an engine that
+ * encodes its payload straight behind the header never copies it.
+ */
+void sealRecord(std::span<std::uint8_t> frame, std::uint64_t seq);
+
+/** Frame @p payload with sequence number @p seq (a copy of it behind
+ *  a header, sealed by sealRecord()). */
 std::vector<std::uint8_t> frameRecord(std::uint64_t seq,
                                       std::span<const std::uint8_t> payload);
-
-/** frameRecord() into @p frame, replacing its contents and reusing its
- *  capacity (hot paths keep one frame buffer per engine). */
-void frameRecord(std::vector<std::uint8_t> &frame, std::uint64_t seq,
-                 std::span<const std::uint8_t> payload);
 
 /**
  * Parse a durable log byte stream. Returns every valid record up to

@@ -1,14 +1,18 @@
 /**
  * @file
  * Unit tests for the BA-buffer: mapping table rules and posted-write
- * settlement semantics.
+ * settlement semantics, including a property test of the posted-write
+ * arena against a deque-of-vectors model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <vector>
 
 #include "ba/ba_buffer.hh"
+#include "sim/rng.hh"
 
 using namespace bssd;
 using namespace bssd::ba;
@@ -166,6 +170,7 @@ TEST(BaBufferData, OutOfRangeAccessRejected)
     EXPECT_THROW(buf.deviceWrite(64 * sim::KiB - 5, d), BaError);
     std::vector<std::uint8_t> out(10);
     EXPECT_THROW(buf.read(64 * sim::KiB - 5, out), BaError);
+    EXPECT_THROW(buf.span(64 * sim::KiB - 5, 10), BaError);
 }
 
 TEST(BaBufferData, RestoreReplacesEverything)
@@ -181,4 +186,128 @@ TEST(BaBufferData, RestoreReplacesEverything)
     std::vector<std::uint8_t> out(4);
     buf.read(0, out);
     EXPECT_EQ(out[0], 0x5a);
+}
+
+namespace
+{
+
+/** The posted-write queue as a deque of per-write byte vectors, which
+ *  BaBuffer's arena must behave exactly like. */
+struct DequeModel
+{
+    struct Write
+    {
+        sim::Tick arrival;
+        std::uint64_t offset;
+        std::vector<std::uint8_t> data;
+    };
+
+    std::vector<std::uint8_t> mem;
+    std::deque<Write> queue;
+
+    void
+    settleTo(sim::Tick t)
+    {
+        while (!queue.empty() && queue.front().arrival <= t) {
+            const Write &w = queue.front();
+            std::copy(w.data.begin(), w.data.end(),
+                      mem.begin() + static_cast<std::ptrdiff_t>(w.offset));
+            queue.pop_front();
+        }
+    }
+
+    std::uint64_t
+    pendingBytes() const
+    {
+        std::uint64_t n = 0;
+        for (const Write &w : queue)
+            n += w.data.size();
+        return n;
+    }
+
+    std::uint64_t
+    powerLossAt(sim::Tick t, sim::Tick dropAfter)
+    {
+        settleTo(std::min(t, dropAfter));
+        const std::uint64_t lost = pendingBytes();
+        queue.clear();
+        return lost;
+    }
+};
+
+} // namespace
+
+TEST(BaBufferData, PostedQueueMatchesDequeModel)
+{
+    // Random posted writes of 1 B to 70 KiB over overlapping offsets,
+    // settled at random ticks (arrivals are not monotonic, so a late
+    // write can hold back earlier-arriving ones behind it), with power
+    // losses in between, with and without a posted-drop window.
+    BaConfig cfg;
+    cfg.bufferBytes = 256 * sim::KiB;
+    constexpr std::uint64_t kMaxWrite = 70 * sim::KiB;
+    // Steps advance up to kStep; a write arrives up to kFlight after
+    // it is posted; a settle lands within kLag of the current tick,
+    // either side.
+    constexpr sim::Tick kStep = sim::nsOf(200);
+    constexpr sim::Tick kFlight = sim::usOf(2);
+    constexpr sim::Tick kLag = sim::usOf(1);
+    for (std::uint64_t seed : {1, 2, 3, 4}) {
+        sim::Rng rng(seed);
+        BaBuffer buf(cfg);
+        DequeModel model;
+        model.mem.assign(cfg.bufferBytes, 0);
+        std::vector<std::uint8_t> out(cfg.bufferBytes);
+        std::uint64_t largest = 0;
+        sim::Tick now = 0;
+        for (int step = 0; step < 3000; ++step) {
+            now += rng.nextBelow(kStep);
+            const std::uint64_t op = rng.nextBelow(100);
+            if (op < 60) {
+                const std::uint64_t len =
+                    rng.nextBelow(8) == 0 ? 1 + rng.nextBelow(kMaxWrite)
+                                          : 1 + rng.nextBelow(256);
+                const std::uint64_t off =
+                    rng.nextBelow(cfg.bufferBytes - len + 1);
+                std::vector<std::uint8_t> data(len);
+                for (auto &b : data)
+                    b = static_cast<std::uint8_t>(rng.next());
+                const sim::Tick arrival = now + rng.nextBelow(kFlight);
+                buf.postWrite(arrival, off, data);
+                model.queue.push_back({arrival, off, std::move(data)});
+                largest = std::max(largest, len);
+            } else if (op < 95) {
+                const sim::Tick ahead = now + rng.nextBelow(kFlight);
+                const sim::Tick t = ahead > kLag ? ahead - kLag : 0;
+                buf.settleTo(t);
+                model.settleTo(t);
+            } else {
+                const sim::Tick back = rng.nextBelow(kLag);
+                const sim::Tick drop =
+                    rng.nextBelow(2) ? sim::maxTick
+                                     : (now > back ? now - back : 0);
+                ASSERT_EQ(buf.powerLossAt(now, drop),
+                          model.powerLossAt(now, drop))
+                    << "seed " << seed << " step " << step;
+            }
+            ASSERT_EQ(buf.pendingBytes(), model.pendingBytes())
+                << "seed " << seed << " step " << step;
+            if (buf.pendingBytes() == 0) {
+                ASSERT_EQ(buf.arenaBytes(), 0u)
+                    << "seed " << seed << " step " << step;
+            }
+            ASSERT_LE(buf.arenaBytes(), 2 * buf.pendingBytes() + largest)
+                << "seed " << seed << " step " << step;
+            if (step % 64 == 0) {
+                buf.read(0, out);
+                ASSERT_EQ(out, model.mem)
+                    << "seed " << seed << " step " << step;
+            }
+        }
+        buf.settleTo(sim::maxTick);
+        model.settleTo(sim::maxTick);
+        EXPECT_EQ(buf.arenaBytes(), 0u) << "seed " << seed;
+        buf.read(0, out);
+        EXPECT_EQ(out, model.mem) << "seed " << seed;
+    }
 }

@@ -189,6 +189,23 @@ TEST(TwoBSsd, MmioOutsideWindowRejected)
     EXPECT_THROW(ssd.mmioRead(0, 512 * sim::KiB - 4, out), BaError);
 }
 
+TEST(TwoBSsd, ZeroLengthSyncIsFenceAndVerifyOnly)
+{
+    // An empty BA_SYNC range flushes no WC line: the store below stays
+    // buffered, and the sync costs the mfence and the write-verify
+    // read alone.
+    for (std::uint64_t off : {0u, 10u}) {
+        auto ssd = makeTiny();
+        ssd.baPin(0, 1, 0, 8 * kPage, kPage);
+        const sim::Tick t = ssd.mmioWrite(sim::msOf(1), 0, pattern(16, 3));
+        const sim::Tick done = ssd.baSyncRange(t, 1, off, 0);
+        EXPECT_EQ(done, t + host::WcConfig{}.mfenceCost +
+                            ssd.device().link().config().verifyReadCost)
+            << "offset " << off;
+        EXPECT_EQ(ssd.wc().dirtyLines(), 1u) << "offset " << off;
+    }
+}
+
 // ---------------------------------------------------------------
 // Durability protocol under power loss
 // ---------------------------------------------------------------

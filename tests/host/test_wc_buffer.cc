@@ -221,3 +221,21 @@ TEST(WcBuffer, EvictionPostsEachValidRunInAddressOrder)
     EXPECT_EQ(posts, full);
     EXPECT_EQ(wc.dirtyLines(), 0u);
 }
+
+TEST(WcBuffer, EmptyFlushRangeIsABareFence)
+{
+    // A zero-length range covers no line, wherever it starts: the
+    // flush costs the mfence alone and posts nothing.
+    const WcConfig cfg;
+    for (std::uint64_t off : {0u, 10u, 64u}) {
+        CapturingSink sink;
+        WcBuffer wc(cfg, sink.fn());
+        wc.write(0, 0, bytes({1, 2, 3}));
+        wc.write(0, 64, bytes({4}));
+        EXPECT_EQ(wc.flushRange(1'000'000, off, 0),
+                  1'000'000 + cfg.mfenceCost)
+            << "offset " << off;
+        EXPECT_EQ(sink.posts, 0u) << "offset " << off;
+        EXPECT_EQ(wc.dirtyLines(), 2u) << "offset " << off;
+    }
+}
