@@ -24,21 +24,28 @@
  *                      [--trace=FILE]
  *   --small        CI preset: same 8-shard shape, ~3k ops, traced
  *   --threads=N    run every mix at exactly N engine threads (skips
- *                  the 1/2/8 identity sweep; CI runs this twice and
- *                  cmp's the --out artifacts)
- *   --queues=N     host NVMe I/O queue pairs per shard (default 1)
- *   --qdepth=N     batches each pair admits; 0 = unbounded (default)
+ *                  the 1/2/8 identity sweep; CI runs this at 1, 4
+ *                  and 8 and cmp's the --out artifacts)
+ *   --queues=N     host NVMe I/O queue pairs per shard (default 1,
+ *                  at most 65535)
+ *   --qdepth=N     batches each pair admits; 0 = unbounded (default,
+ *                  at most 65535)
  *   --out=FILE     deterministic artifact of the run (digests,
  *                  counters, metrics; no wall clock, no thread count)
  *   --json=FILE    BENCH_cluster.json summary (default when neither
  *                  --out nor --json given: BENCH_cluster.json)
  *   --trace=FILE   Chrome trace of the LAST mix's serial run (small
  *                  preset only; feeds trace_dump --validate)
+ *
+ * A numeric flag that is not a number in range exits 2.
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,7 +74,8 @@ struct Mix
  * key draws, the expected distinct-user count is
  * 2M * (1 - e^(-2.1/2)) ~ 1.3M; the bench asserts >= 1M.
  * The GC preset is off: the fleet-scale question here is scheduling,
- * not GC (bench_sweep covers GC-active cluster cells). Its 128 KiB
+ * not GC (the --small preset, Cluster.PgGcFleetIsPinned and
+ * perfbench's pg-gc workload cover GC-active fleets). Its 128 KiB
  * AOF region would only rewrite more often: a rewrite drops the undo
  * log of the keys changed since the last one and never copies the
  * 2M-key store.
@@ -244,12 +252,18 @@ printRow(const MixRun &run)
 int
 main(int argc, char **argv)
 {
+    // The numeric flags come first: a bad one exits 2 before anything
+    // is built. Queue pairs and depth are 16-bit in the config.
+    constexpr unsigned kMaxQueue = std::numeric_limits<std::uint16_t>::max();
+    const std::optional<unsigned> threads = unsignedArg(
+        argc, argv, "--threads", std::numeric_limits<unsigned>::max());
+    const std::optional<unsigned> queues =
+        unsignedArg(argc, argv, "--queues", kMaxQueue);
+    const std::optional<unsigned> qdepth =
+        unsignedArg(argc, argv, "--qdepth", kMaxQueue);
     bool small = false;
     for (int i = 1; i < argc; ++i)
         small = small || std::string(argv[i]) == "--small";
-    const std::string threadsFlag = stringArg(argc, argv, "--threads");
-    const std::string queuesFlag = stringArg(argc, argv, "--queues");
-    const std::string qdepthFlag = stringArg(argc, argv, "--qdepth");
     const std::string outPath = stringArg(argc, argv, "--out");
     std::string jsonPath = stringArg(argc, argv, "--json");
     const std::string tracePath = stringArg(argc, argv, "--trace");
@@ -257,19 +271,14 @@ main(int argc, char **argv)
         jsonPath = "BENCH_cluster.json";
 
     std::vector<Mix> mixes = makeMixes(small);
-    if (!queuesFlag.empty() || !qdepthFlag.empty()) {
-        // Multi-queue host frontend: gate each shard's batches behind
-        // N bounded queue pairs instead of the unbounded default.
-        for (Mix &mix : mixes) {
-            if (!queuesFlag.empty()) {
-                mix.cfg.queuePairs = static_cast<std::uint16_t>(
-                    std::max(1ul, std::stoul(queuesFlag)));
-            }
-            if (!qdepthFlag.empty()) {
-                mix.cfg.queueDepth = static_cast<std::uint16_t>(
-                    std::stoul(qdepthFlag));
-            }
-        }
+    // Multi-queue host frontend: gate each shard's batches behind N
+    // bounded queue pairs instead of the unbounded default.
+    for (Mix &mix : mixes) {
+        if (queues)
+            mix.cfg.queuePairs =
+                static_cast<std::uint16_t>(std::max(1u, *queues));
+        if (qdepth)
+            mix.cfg.queueDepth = static_cast<std::uint16_t>(*qdepth);
     }
     banner("cluster", std::string("sharded serving at scale (") +
                           (small ? "small CI preset" : "1M+ users") +
@@ -278,12 +287,11 @@ main(int argc, char **argv)
     std::vector<MixRun> runs;
     bool verified = false;
 
-    if (!threadsFlag.empty()) {
-        // Pinned thread count: CI runs this twice (1 and 4) and
+    if (threads) {
+        // Pinned thread count: CI runs this at 1, 4 and 8 and
         // byte-compares the artifacts.
-        const unsigned n =
-            std::max(1u, static_cast<unsigned>(std::stoul(threadsFlag)));
-        section("mixes at " + threadsFlag + " engine thread(s)");
+        const unsigned n = std::max(1u, *threads);
+        section("mixes at " + std::to_string(n) + " engine thread(s)");
         for (const Mix &mix : mixes) {
             sim::Tracer tracer;
             const bool wantTrace = small && !tracePath.empty();

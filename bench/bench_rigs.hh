@@ -14,10 +14,9 @@
 #define BSSD_BENCH_BENCH_RIGS_HH
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
+#include <limits>
 
+#include "bench_util.hh"
 #include "wal/rig.hh"
 
 namespace bssd::bench
@@ -78,25 +77,9 @@ makeRig(RigKind k, std::uint64_t baWalHalf, bool doubleBuffer)
 inline unsigned
 threadsArg(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--threads=", 0) != 0)
-            continue;
-        std::string v = a.substr(a.find('=') + 1);
-        unsigned n = 0;
-        if (v.empty() || v.find_first_not_of("0123456789") !=
-                             std::string::npos) {
-            std::fprintf(stderr,
-                         "error: --threads expects a number, got "
-                         "'%s'\n",
-                         v.c_str());
-            std::exit(2);
-        }
-        for (char c : v)
-            n = n * 10 + static_cast<unsigned>(c - '0');
-        return n;
-    }
-    return 0;
+    return unsignedArg(argc, argv, "--threads",
+                       std::numeric_limits<unsigned>::max())
+        .value_or(0);
 }
 
 } // namespace bssd::bench

@@ -10,19 +10,14 @@
  * long you wait.
  *
  * Usage: bench_sweep_main [--threads=N] [--quick] [--metrics=FILE]
- *                         [--engine-threads=N]
  *   --threads=N     worker threads (default: hardware concurrency)
  *   --quick         smaller matrix / shorter horizon (CI smoke)
  *   --metrics=FILE  per-cell metric snapshots merged in job order
  *                   (deterministic regardless of worker scheduling)
  *                   and written as one JSON report
- *   --engine-threads=N  ParallelEngine workers INSIDE the sharded-
- *                   cluster cells appended to the matrix (default 1;
- *                   results are bit-identical at any value)
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -31,7 +26,6 @@
 #include "bench_rigs.hh"
 #include "bench_util.hh"
 #include "support/stopwatch.hh"
-#include "cluster/cluster.hh"
 #include "db/minipg/minipg.hh"
 #include "db/miniredis/miniredis.hh"
 #include "db/minirocks/minirocks.hh"
@@ -42,7 +36,6 @@
 using namespace bssd;
 using namespace bssd::bench;
 using namespace bssd::workload;
-using cluster::ClusterConfig;
 
 namespace
 {
@@ -141,39 +134,6 @@ runCell(const Cell &cell, sim::Tick horizon,
     return rec;
 }
 
-/**
- * One sharded-cluster cell: the multi-domain scenario that exercises
- * the parallel engine inside a single sweep job.
- */
-sim::SweepRecord
-runClusterCell(ClusterConfig cfg)
-{
-    Stopwatch sw;
-    cluster::ClusterResult res = cluster::runCluster(cfg);
-    double ms = sw.ms();
-
-    sim::SweepRecord rec;
-    rec.device = cfg.wal == ClusterConfig::Wal::ba
-                     ? "cluster-ba"
-                     : "cluster-blk";
-    rec.workload = "sharded-miniredis";
-    rec.clients = cfg.shards;
-    rec.engineThreads = cfg.engineThreads;
-    rec.seed = cfg.seed;
-    rec.ops = res.opsCompleted;
-    rec.opsPerSec = res.horizon > 0
-                        ? static_cast<double>(res.opsCompleted) /
-                              sim::toSec(res.horizon)
-                        : 0.0;
-    rec.meanUs = res.batchMean / 1e3;
-    rec.p99Us = sim::toUs(res.batchP99);
-    rec.wallMs = ms;
-    rec.eventsPerSec =
-        ms > 0.0 ? static_cast<double>(res.eventsFired) / (ms / 1000.0)
-                 : 0.0;
-    return rec;
-}
-
 } // namespace
 
 int
@@ -187,15 +147,6 @@ main(int argc, char **argv)
     unsigned threads = threadsArg(argc, argv);
     if (threads == 0)
         threads = sim::defaultSweepThreads();
-    unsigned engineThreads = 1;
-    const std::string engineArg =
-        stringArg(argc, argv, "--engine-threads");
-    if (!engineArg.empty())
-        engineThreads =
-            static_cast<unsigned>(std::strtoul(engineArg.c_str(),
-                                               nullptr, 10));
-    if (engineThreads == 0)
-        engineThreads = 1;
 
     const sim::Tick horizon = quick ? sim::msOf(20) : sim::msOf(100);
 
@@ -222,45 +173,22 @@ main(int argc, char **argv)
         }
     }
 
-    // Two sharded-cluster cells (BA-WAL and block-WAL rigs) ride along
-    // with the single-device matrix; they are the only cells that use
-    // the parallel engine, with --engine-threads workers each.
-    std::vector<ClusterConfig> clusterCells;
-    for (ClusterConfig::Wal wal :
-         {ClusterConfig::Wal::ba, ClusterConfig::Wal::block}) {
-        ClusterConfig ccfg;
-        ccfg.wal = wal;
-        ccfg.engineThreads = engineThreads;
-        if (quick) {
-            ccfg.cycles = 12;
-            ccfg.opsPerCycle = 32;
-        }
-        clusterCells.push_back(ccfg);
-    }
-
-    const std::size_t totalCells = cells.size() + clusterCells.size();
     banner("sweep", "parallel benchmark sweep (" +
-                        std::to_string(totalCells) + " cells, " +
+                        std::to_string(cells.size()) + " cells, " +
                         std::to_string(threads) + " threads)");
 
-    std::vector<sim::SweepRecord> records(totalCells);
+    std::vector<sim::SweepRecord> records(cells.size());
     std::vector<sim::MetricsSnapshot> snapshots(cells.size());
     sim::MetricsSnapshot *snaps =
         metricsPath.empty() ? nullptr : snapshots.data();
     std::vector<std::function<void()>> jobs;
-    jobs.reserve(totalCells);
+    jobs.reserve(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i)
         jobs.push_back(
             [&records, &cells, i, horizon, snaps] {
                 records[i] = runCell(cells[i], horizon,
                                      snaps ? snaps + i : nullptr);
             });
-    for (std::size_t i = 0; i < clusterCells.size(); ++i) {
-        const std::size_t slot = cells.size() + i;
-        jobs.push_back([&records, &clusterCells, i, slot] {
-            records[slot] = runClusterCell(clusterCells[i]);
-        });
-    }
 
     Stopwatch sw;
     sim::runParallel(jobs, threads);

@@ -12,7 +12,10 @@
 #ifndef BSSD_BENCH_BENCH_UTIL_HH
 #define BSSD_BENCH_BENCH_UTIL_HH
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 
 namespace bssd::bench
@@ -37,20 +40,54 @@ section(const std::string &name)
 }
 
 /**
- * Parse an optional string-valued flag (`--trace=<file>` or
- * `--trace <file>`). @return empty string when absent.
+ * The value of an optional flag (`--trace=<file>` or
+ * `--trace <file>`). @return nullptr when absent.
  */
-inline std::string
-stringArg(int argc, char **argv, const std::string &flag)
+inline const char *
+flagValue(int argc, char **argv, const std::string &flag)
 {
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
+        const std::string a = argv[i];
         if (a.rfind(flag + "=", 0) == 0)
-            return a.substr(flag.size() + 1);
+            return argv[i] + flag.size() + 1;
         if (a == flag && i + 1 < argc)
             return argv[i + 1];
     }
-    return {};
+    return nullptr;
+}
+
+/** A string-valued flag. @return empty string when absent. */
+inline std::string
+stringArg(int argc, char **argv, const std::string &flag)
+{
+    const char *v = flagValue(argc, argv, flag);
+    return v ? v : "";
+}
+
+/**
+ * An unsigned flag (`--threads=4` or `--threads 4`) in [0, @p max].
+ * Anything but digits, or a value past @p max, prints an error naming
+ * the flag and exits 2. @return nullopt when absent.
+ */
+inline std::optional<unsigned>
+unsignedArg(int argc, char **argv, const std::string &flag,
+            unsigned max)
+{
+    const char *v = flagValue(argc, argv, flag);
+    if (v == nullptr)
+        return std::nullopt;
+    std::uint64_t n = 0;
+    const char *p = v;
+    for (; *p >= '0' && *p <= '9' && n <= max; ++p)
+        n = n * 10 + static_cast<unsigned>(*p - '0');
+    if (p == v || *p != '\0' || n > max) {
+        std::fprintf(stderr,
+                     "error: %s expects a number from 0 to %u, got "
+                     "'%s'\n",
+                     flag.c_str(), max, v);
+        std::exit(2);
+    }
+    return static_cast<unsigned>(n);
 }
 
 /** Human-readable byte size. */

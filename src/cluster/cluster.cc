@@ -959,7 +959,6 @@ runCluster(const ClusterConfig &cfg, sim::Tracer *trace)
     res.rounds = c.engine().rounds();
     res.messages = c.engine().messagesDelivered();
     res.horizon = c.horizon();
-    res.batchMean = router.batchLatency().mean();
     res.batchP50 = router.batchLatency().percentile(50.0);
     res.batchP99 = router.batchLatency().percentile(99.0);
     res.opP50 = router.opLatency().percentile(50.0);

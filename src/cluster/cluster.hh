@@ -326,8 +326,7 @@ struct ClusterResult
     std::uint64_t messages = 0;
     /** Simulated time the run needed to drain (ticks). */
     sim::Tick horizon = 0;
-    /** Host-observed batch latency (ticks): exact mean, p50, p99. */
-    double batchMean = 0.0;
+    /** Host-observed batch latency percentiles (ticks). */
     std::uint64_t batchP50 = 0;
     std::uint64_t batchP99 = 0;
     /** Host-observed per-op latency percentiles (ticks). */
@@ -350,7 +349,7 @@ struct ClusterResult
 /**
  * Build the cluster, run it until the router drains (and any
  * scheduled rebalance flips), verify fleet-wide consistency, and tear
- * it down: the one entry point the benches, the sweep harness and the
+ * it down: the one entry point bench_cluster, perfbench and the
  * determinism tests share. @p trace as for Cluster's constructor.
  */
 ClusterResult runCluster(const ClusterConfig &cfg,

@@ -1,8 +1,6 @@
 #include "nand/nand_flash.hh"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 
 #include "sim/domain.hh"
 #include "sim/rng.hh"
@@ -11,29 +9,6 @@
 
 namespace bssd::nand
 {
-
-namespace
-{
-
-/**
- * Frame chunks of destroyed arrays, by size, for the next array to
- * take: a process that builds arrays one after another (a bench
- * sweeping presets) then reuses their memory instead of faulting it in
- * again after glibc returned it to the OS. Shared by every array and
- * so by every engine thread; arrays touch it only to grow their own
- * pool and at teardown. Frame contents never reach an output: a page's
- * bytes are read only after its own program wrote them.
- */
-struct ChunkCache
-{
-    std::mutex mu;
-    std::map<std::size_t, std::vector<std::unique_ptr<std::uint8_t[]>>>
-        bySize;
-};
-
-ChunkCache chunkCache;
-
-} // namespace
 
 NandConfig
 NandConfig::tlcDatacenter()
@@ -119,14 +94,6 @@ NandFlash::blockAt(std::uint32_t idx)
     return chunk[idx & ((1u << blockChunkShift) - 1)];
 }
 
-NandFlash::~NandFlash()
-{
-    std::lock_guard<std::mutex> lock(chunkCache.mu);
-    auto &cached = chunkCache.bySize[chunkBytes_];
-    for (auto &chunk : frameChunks_)
-        cached.push_back(std::move(chunk));
-}
-
 std::uint32_t
 NandFlash::takeFrame()
 {
@@ -135,20 +102,9 @@ NandFlash::takeFrame()
         freeFrames_.pop_back();
         return frame;
     }
-    if (nextFrame_ == frameChunks_.size() * framesPerChunk) {
-        std::unique_ptr<std::uint8_t[]> chunk;
-        {
-            std::lock_guard<std::mutex> lock(chunkCache.mu);
-            auto &cached = chunkCache.bySize[chunkBytes_];
-            if (!cached.empty()) {
-                chunk = std::move(cached.back());
-                cached.pop_back();
-            }
-        }
-        if (!chunk)
-            chunk.reset(new std::uint8_t[chunkBytes_]);
-        frameChunks_.push_back(std::move(chunk));
-    }
+    if (nextFrame_ == frameChunks_.size() * framesPerChunk)
+        frameChunks_.push_back(
+            std::make_unique_for_overwrite<std::uint8_t[]>(chunkBytes_));
     return nextFrame_++;
 }
 

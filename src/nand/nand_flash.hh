@@ -9,8 +9,7 @@
  * state (a few bytes) lives in table chunks allocated on a block's
  * first change, bad blocks in a bitmap, and each programmed page in a
  * page frame from a device-wide pool of fixed-size frame chunks,
- * taken by its program and handed back by its block's erase. A
- * destroyed array's chunks go to the next array the process builds.
+ * taken by its program and handed back by its block's erase.
  *
  * The timing half models the channel -> way -> die topology: every
  * timed operation names the physical pages it touches and reserves
@@ -76,8 +75,6 @@ class NandFlash
 {
   public:
     explicit NandFlash(const NandConfig &cfg);
-    /** Hands the array's frame chunks to the next array built. */
-    ~NandFlash();
 
     const NandConfig &config() const { return cfg_; }
 
@@ -303,8 +300,7 @@ class NandFlash
     /** The state of block @p idx, allocating its chunk if needed. */
     BlockState &blockAt(std::uint32_t idx);
     /** A frame from the pool: a free one, else a new one carved from
-     *  the last chunk, or from a new chunk (one a destroyed array
-     *  left, if any). */
+     *  the last chunk, or from a new chunk. */
     std::uint32_t takeFrame();
     std::uint8_t *frameAt(std::uint32_t frame) const;
     /** Frame + 1 holding @p page of the block in @p st, or 0. */

@@ -283,6 +283,10 @@ ParallelEngine::executeDomain(std::size_t d)
 void
 ParallelEngine::startWorkers()
 {
+    // A thread past the domain count would own no domain yet still
+    // hold up every barrier, so the pool is never wider than that.
+    threads_ = static_cast<unsigned>(
+        std::min<std::size_t>(threads_, domains_.size()));
     const unsigned spawn = threads_ - 1;
     workers_.reserve(spawn);
     for (unsigned w = 1; w <= spawn; ++w)

@@ -66,7 +66,8 @@ class MetricRegistry;
 class ParallelEngine
 {
   public:
-    /** @param threads worker count; <= 1 means serial execution. */
+    /** @param threads worker count; <= 1 means serial execution. The
+     *  first threaded round caps it at the domain count. */
     explicit ParallelEngine(unsigned threads = 1);
 
     ParallelEngine(const ParallelEngine &) = delete;

@@ -95,7 +95,6 @@ writeSweepJson(std::ostream &os, const std::vector<SweepRecord> &records,
         os << ", \"workload\": ";
         jsonEscape(os, r.workload);
         os << ", \"clients\": " << r.clients
-           << ", \"engine_threads\": " << r.engineThreads
            << ", \"seed\": " << r.seed
            << ", \"ops\": " << r.ops << ", \"ops_per_sec\": "
            << r.opsPerSec << ", \"mean_us\": " << r.meanUs

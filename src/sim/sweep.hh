@@ -50,8 +50,6 @@ struct SweepRecord
     std::string device;   ///< device preset label (DC-SSD, 2B-SSD, ...)
     std::string workload; ///< workload label (linkbench, ycsba-16, ...)
     unsigned clients = 0;
-    /** ParallelEngine workers inside this cell (1 = serial engine). */
-    unsigned engineThreads = 1;
     std::uint64_t seed = 0;
 
     std::uint64_t ops = 0;

@@ -53,7 +53,6 @@ expectIdentical(const ClusterRun &a, const ClusterRun &b, const char *label)
     EXPECT_EQ(a.res.rounds, b.res.rounds);
     EXPECT_EQ(a.res.messages, b.res.messages);
     EXPECT_EQ(a.res.horizon, b.res.horizon);
-    EXPECT_EQ(a.res.batchMean, b.res.batchMean);
     EXPECT_EQ(a.res.batchP50, b.res.batchP50);
     EXPECT_EQ(a.res.batchP99, b.res.batchP99);
     EXPECT_EQ(a.res.opP50, b.res.opP50);

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/domain.hh"
@@ -360,4 +361,35 @@ TEST(ParallelEngine, TraceRoundsRecordsOneSpanPerRound)
         EXPECT_EQ(rounds.string(e.name), "round");
         EXPECT_LE(e.start, e.end);
     }
+}
+
+TEST(ParallelEngine, PoolIsNeverWiderThanTheDomainCount)
+{
+    // Eight threads asked for over three domains: the caller and two
+    // workers run the same schedule as a serial run (the telemetry
+    // covers every domain's events, stalls and window bounds).
+    auto runAt = [](unsigned threads) {
+        constexpr Tick kToC = 60; // a → c channel lookahead
+        Domain a("alpha"), b("beta"), c("gamma");
+        ParallelEngine eng(threads);
+        pingPongLoad(a, b, eng);
+        eng.add(c);
+        eng.connect(a, c, kToC);
+        for (Tick t = 20; t < 3000; t += 130) {
+            a.queue().schedule(t, [&a, &c] {
+                a.post(c, a.now() + kToC, {}, [] {});
+            });
+        }
+        eng.run(usOf(5));
+        MetricRegistry reg;
+        eng.registerMetrics(reg, "engine");
+        std::ostringstream os;
+        reg.writeJson(os);
+        return std::make_pair(eng.threads(), os.str());
+    };
+    const auto serial = runAt(1);
+    const auto threaded = runAt(8);
+    EXPECT_EQ(serial.first, 1u);
+    EXPECT_EQ(threaded.first, 3u);
+    EXPECT_EQ(threaded.second, serial.second);
 }

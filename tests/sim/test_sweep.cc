@@ -90,7 +90,6 @@ TEST(Sweep, JsonReportIsWellFormed)
     r.device = "ULL-SSD";
     r.workload = "linkbench\"quoted\"";
     r.clients = 8;
-    r.engineThreads = 4;
     r.seed = 42;
     r.ops = 1000;
     r.opsPerSec = 12345.5;
@@ -106,7 +105,6 @@ TEST(Sweep, JsonReportIsWellFormed)
     EXPECT_NE(s.find("\"device\": \"ULL-SSD\""), std::string::npos);
     EXPECT_NE(s.find("linkbench\\\"quoted\\\""), std::string::npos);
     EXPECT_NE(s.find("\"ops_per_sec\": 12345.5"), std::string::npos);
-    EXPECT_NE(s.find("\"engine_threads\": 4"), std::string::npos);
     // Balanced braces/brackets (cheap well-formedness check).
     EXPECT_EQ(std::count(s.begin(), s.end(), '{'),
               std::count(s.begin(), s.end(), '}'));
