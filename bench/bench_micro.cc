@@ -10,12 +10,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <vector>
 
 #include "ba/two_b_ssd.hh"
 #include "db/miniredis/miniredis.hh"
 #include "ftl/ftl.hh"
 #include "nand/nand_flash.hh"
+#include "sim/event_queue.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "ssd/ssd_device.hh"
 #include "wal/ba_wal.hh"
@@ -55,6 +58,70 @@ BM_Crc32c(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(1024)->Arg(4096);
+
+/**
+ * Event kernel, timer chains: 64 self-rescheduling timers (the shape of
+ * the router's arrival cycle and the drain poll) fire range(0) events
+ * per iteration. items_per_second is kernel events per wall second.
+ */
+void
+BM_EventQueueTimerChains(benchmark::State &state)
+{
+    constexpr std::size_t kChains = 64;
+    const auto total = static_cast<std::size_t>(state.range(0));
+    for (auto _ : state) {
+        sim::EventQueue q;
+        std::size_t armed = 0;
+        std::size_t fired = 0;
+        std::function<void(std::size_t)> arm = [&](std::size_t c) {
+            if (armed == total)
+                return;
+            ++armed;
+            q.schedule(q.now() + 1 + c % 7, [&, c] {
+                ++fired;
+                arm(c);
+            });
+        };
+        for (std::size_t c = 0; c < kChains; ++c)
+            arm(c);
+        q.runWindow(sim::maxTick);
+        if (fired != total)
+            sim::fatal("timer chains fired ", fired, " != ", total);
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EventQueueTimerChains)->Arg(1 << 16)->UseRealTime();
+
+/**
+ * Event kernel, burst drain: bursts of 4096 events land at scattered
+ * future ticks and drain, range(0) events per iteration (the shape of
+ * the engine's barrier delivery and the power-loss dump).
+ */
+void
+BM_EventQueueBurstDrain(benchmark::State &state)
+{
+    constexpr std::size_t kBurst = 4096;
+    const auto total = static_cast<std::size_t>(state.range(0));
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (auto _ : state) {
+        sim::EventQueue q;
+        std::size_t fired = 0;
+        for (std::size_t scheduled = 0; scheduled < total;
+             scheduled += kBurst) {
+            for (std::size_t i = 0; i < kBurst; ++i) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                q.schedule(q.now() + 1 + (x & 0xffff), [&fired] { ++fired; });
+            }
+            q.runWindow(sim::maxTick);
+        }
+        if (fired != total)
+            sim::fatal("burst drain fired ", fired, " != ", total);
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EventQueueBurstDrain)->Arg(1 << 16)->UseRealTime();
 
 void
 BM_FtlWrite4k(benchmark::State &state)

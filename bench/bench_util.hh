@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the benchmark binaries: consistent table output
- * and the device/WAL configurations used across experiments.
+ * and checked flag parsing, which the tools/ binaries use too (the
+ * device/WAL configurations are in bench_rigs.hh).
  *
  * Every binary regenerates one table or figure from the paper and
  * prints (a) the measured series and (b) the paper's reference
@@ -65,9 +66,56 @@ stringArg(int argc, char **argv, const std::string &flag)
 }
 
 /**
- * An unsigned flag (`--threads=4` or `--threads 4`) in [0, @p max].
- * Anything but digits, or a value past @p max, prints an error naming
- * the flag and exits 2. @return nullopt when absent.
+ * A flag's value @p v as an unsigned number in [@p min, @p max].
+ * Anything but digits, or a value outside the range, prints an error
+ * naming the flag and exits 2, so a typo never runs as 0.
+ */
+inline std::uint64_t
+unsignedValue(const std::string &flag, const char *v, std::uint64_t min,
+              std::uint64_t max)
+{
+    bool ok = *v != '\0';
+    std::uint64_t n = 0;
+    for (const char *p = v; ok && *p != '\0'; ++p) {
+        const auto d = static_cast<unsigned char>(*p - '0');
+        ok = d <= 9 && d <= max && n <= (max - d) / 10;
+        n = n * 10 + d;
+    }
+    if (!ok || n < min) {
+        std::fprintf(stderr,
+                     "error: %s expects a number from %llu to %llu, got "
+                     "'%s'\n",
+                     flag.c_str(), static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max), v);
+        std::exit(2);
+    }
+    return n;
+}
+
+/**
+ * A flag's value @p v as a decimal number in [0, @p max], under the
+ * same whole-string rule and exit as unsignedValue.
+ */
+inline double
+decimalValue(const std::string &flag, const char *v, double max)
+{
+    char *end = nullptr;
+    const double x = std::strtod(v, &end);
+    // strtod alone takes leading blanks and signs, "nan" and "inf", and
+    // stops quietly at the first character that is not part of a number.
+    const bool digitFirst = (*v >= '0' && *v <= '9') || *v == '.';
+    if (!digitFirst || *end != '\0' || !(x >= 0.0 && x <= max)) {
+        std::fprintf(stderr,
+                     "error: %s expects a number from 0 to %g, got '%s'\n",
+                     flag.c_str(), max, v);
+        std::exit(2);
+    }
+    return x;
+}
+
+/**
+ * An unsigned flag (`--threads=4` or `--threads 4`) in [0, @p max],
+ * checked by unsignedValue. @return nullopt when absent.
  */
 inline std::optional<unsigned>
 unsignedArg(int argc, char **argv, const std::string &flag,
@@ -76,18 +124,7 @@ unsignedArg(int argc, char **argv, const std::string &flag,
     const char *v = flagValue(argc, argv, flag);
     if (v == nullptr)
         return std::nullopt;
-    std::uint64_t n = 0;
-    const char *p = v;
-    for (; *p >= '0' && *p <= '9' && n <= max; ++p)
-        n = n * 10 + static_cast<unsigned>(*p - '0');
-    if (p == v || *p != '\0' || n > max) {
-        std::fprintf(stderr,
-                     "error: %s expects a number from 0 to %u, got "
-                     "'%s'\n",
-                     flag.c_str(), max, v);
-        std::exit(2);
-    }
-    return static_cast<unsigned>(n);
+    return static_cast<unsigned>(unsignedValue(flag, v, 0, max));
 }
 
 /** Human-readable byte size. */

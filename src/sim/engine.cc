@@ -187,23 +187,21 @@ Domain::post(Domain &target, Tick when, TraceContext ctx,
         panic("post from '", name_, "' to '", target.name_,
               "' at ", when, " violates lookahead ", look, " (now ",
               queue_.now(), ")");
-    if constexpr (traceCompiled) {
-        if (ctx.trace != 0) {
-            // Wrap the callback so the request identity is in scope in
-            // the TARGET domain while it runs: spans the callback
-            // records there stitch to the sender's span tree. The
-            // tracer pointer is read at delivery time (inside the
-            // target's window), honoring the domain-ownership rule.
-            Domain *tgt = &target;
-            cb = [tgt, ctx, inner = std::move(cb)]() mutable {
-                Tracer *tr = tgt->tracer_;
-                if (tr)
-                    tr->pushContext(ctx);
-                inner();
-                if (tr)
-                    tr->popContext();
-            };
-        }
+    if (ctx.trace != 0) {
+        // Wrap the callback so the request identity is in scope in the
+        // TARGET domain while it runs: spans the callback records there
+        // stitch to the sender's span tree. The tracer pointer is read
+        // at delivery time (inside the target's window), honoring the
+        // domain-ownership rule.
+        Domain *tgt = &target;
+        cb = [tgt, ctx, inner = std::move(cb)]() mutable {
+            Tracer *tr = tgt->tracer_;
+            if (tr)
+                tr->pushContext(ctx);
+            inner();
+            if (tr)
+                tr->popContext();
+        };
     }
     outbox_.push_back(Message{when, nextSeq_++, target.id_,
                               std::move(cb)});

@@ -2,20 +2,19 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * Device-internal background activity (write-buffer destage, garbage
- * collection, the power-loss dump sequence, DMA completion interrupts)
- * runs as events on this queue. Host-facing operations use the timed
- * resource calendars in resource.hh instead; see DESIGN.md section 6.
+ * Device and host operations are timed with the resource calendars in
+ * resource.hh (DESIGN.md section 6), so few things run as events: the
+ * parallel engine's cross-domain messages (delivered into the target
+ * domain's queue at each barrier), the fleet host's own timers (the
+ * router's arrival cycle, the rebalance drain poll) and the
+ * capacitor-powered BA-buffer dump on power loss (ba/recovery.cc).
  *
- * The hot path is allocation-free: callbacks live in a slab of
- * fixed-size slots with inline storage for captures up to
- * InlineCallback::kInlineBytes, and handles are generation-tagged slot
- * references, so schedule/fire/deschedule never touch a hash table and
- * deschedule() is an O(1) tag bump. Cancelled entries are dropped
- * lazily when they surface at the top of the heap (with periodic
- * compaction so churn-heavy workloads stay bounded); their callbacks —
- * and anything the captures keep alive — are released eagerly at
- * cancellation time.
+ * Scheduling and firing allocate nothing once the queue has warmed up:
+ * the binary heap holds POD (when, seq, slot) entries, and callbacks
+ * live in a slab of InlineCallbacks, with inline storage for captures
+ * up to InlineCallback::kInlineBytes, whose slots are reused through a
+ * free-slot stack. There is no cancellation; an event fires exactly
+ * once.
  */
 
 #ifndef BSSD_SIM_EVENT_QUEUE_HH
@@ -154,58 +153,11 @@ class EventQueue
   public:
     using Callback = InlineCallback;
 
-    /**
-     * Opaque handle to a scheduled event, usable for cancellation.
-     * Encodes (slot, generation); a handle goes stale — and
-     * deschedule() on it becomes a no-op — the moment its event fires,
-     * is cancelled, or the slot is reused.
-     */
-    using EventId = std::uint64_t;
-
     /** Current simulated time of this queue. */
     Tick now() const { return now_; }
 
-    /**
-     * Schedule @p cb to run at absolute time @p when.
-     * @pre when >= now()
-     * @return a handle that can be passed to deschedule().
-     */
-    EventId schedule(Tick when, Callback cb);
-
-    /** Schedule @p cb to run @p delay ticks from now. */
-    EventId scheduleIn(Tick delay, Callback cb);
-
-    /**
-     * Cancel a pending event: O(1) — bumps the slot's generation tag
-     * and releases the callback immediately. Cancelling an
-     * already-fired or unknown id is a no-op and returns false.
-     */
-    bool deschedule(EventId id);
-
-    /** True if no runnable events remain. */
-    bool empty() const { return live_ == 0; }
-
-    /** Number of pending (non-cancelled) events. */
-    std::size_t pending() const { return live_; }
-
-    /**
-     * Run events until the queue is empty or @p limit events have fired.
-     * @return number of events fired.
-     */
-    std::size_t run(std::size_t limit = ~std::size_t(0));
-
-    /**
-     * Run all events with time <= @p when, then advance now() to @p when.
-     * @return number of events fired.
-     */
-    std::size_t runUntil(Tick when);
-
-    /**
-     * Earliest pending event's time, or maxTick when the queue is
-     * empty. Drops cancelled entries from the top of the heap on the
-     * way, hence non-const.
-     */
-    Tick nextEventTime();
+    /** Schedule @p cb to run at absolute time @p when. @pre when >= now() */
+    void schedule(Tick when, Callback cb);
 
     /**
      * Run all events with time strictly < @p limit, without advancing
@@ -213,33 +165,32 @@ class EventQueue
      * event). This is the parallel engine's per-window work loop: the
      * strict bound keeps events AT the window edge for the next round,
      * after barrier messages for that tick have been delivered.
-     *
-     * Ready events that share a tick are drained into a reusable
-     * structure-of-arrays batch before firing, so the fire loop walks
-     * two flat u32 arrays instead of re-heapifying per event. Events a
-     * batched callback schedules for the same tick get higher sequence
-     * numbers and fire in a later batch — identical order to the
-     * one-at-a-time loop.
-     *
      * @return number of events fired.
      */
     std::size_t runWindow(Tick limit);
 
+    /**
+     * Run all events with time <= @p when, then advance now() to
+     * @p when. @pre when < maxTick
+     * @return number of events fired.
+     */
+    std::size_t runUntil(Tick when);
+
+    /** Earliest pending event's time, or maxTick when none is pending. */
+    Tick
+    nextEventTime() const
+    {
+        return heap_.empty() ? maxTick : heap_.front().when;
+    }
+
     /** Advance time without running anything. @pre when >= now(). */
     void advanceTo(Tick when);
 
-    /** @name Introspection (tests, self-benchmarks) @{ */
+    /** Number of pending events. */
+    std::size_t pending() const { return heap_.size(); }
 
     /** Events fired over this queue's lifetime. */
     std::uint64_t totalFired() const { return fired_; }
-
-    /** Heap entries, including cancelled ones not yet dropped. */
-    std::size_t heapEntries() const { return heap_.size(); }
-
-    /** Slots ever allocated in the slab (high-water occupancy). */
-    std::size_t poolCapacity() const { return slots_.size(); }
-
-    /** @} */
 
   private:
     /** POD heap node; the callback stays in the slab. */
@@ -248,7 +199,6 @@ class EventQueue
         Tick when;
         std::uint64_t seq;
         std::uint32_t slot;
-        std::uint32_t gen;
     };
 
     /** Min-heap order on (when, seq). */
@@ -261,48 +211,11 @@ class EventQueue
         }
     };
 
-    /**
-     * One slab slot. The generation is odd while occupied, even while
-     * free; heap entries and EventIds carry the generation they were
-     * minted with, so one compare detects staleness.
-     */
-    struct Slot
-    {
-        Callback cb;
-        std::uint32_t gen = 0;
-        std::uint32_t nextFree = kNilSlot;
-        /**
-         * Set while the slot sits in runWindow's drained ready batch,
-         * i.e. its heap entry is already popped but its callback has
-         * not fired yet. deschedule() must not count such a slot as a
-         * stale heap entry — there is none to drop.
-         */
-        bool inBatch = false;
-    };
-
-    static constexpr std::uint32_t kNilSlot = ~std::uint32_t(0);
-
-    static EventId
-    makeId(std::uint32_t slot, std::uint32_t gen)
-    {
-        return (static_cast<EventId>(slot) << 32) | gen;
-    }
-
-    std::uint32_t allocSlot();
-    void releaseSlot(std::uint32_t slot);
-    bool pruneTop();
-    HeapEntry popTop();
-    void maybeCompact();
-
     std::vector<HeapEntry> heap_;
-    std::vector<Slot> slots_;
-    /** Reusable SoA ready batch for runWindow (slot/gen pairs). */
-    std::vector<std::uint32_t> batchSlots_;
-    std::vector<std::uint32_t> batchGens_;
-    std::uint32_t freeHead_ = kNilSlot;
-    std::size_t live_ = 0;
-    /** Cancelled entries still sitting in the heap. */
-    std::size_t stale_ = 0;
+    /** Callback slab; a slot is live while a heap entry names it. */
+    std::vector<Callback> slots_;
+    /** Slots whose event has fired, reused before the slab grows. */
+    std::vector<std::uint32_t> freeSlots_;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t fired_ = 0;

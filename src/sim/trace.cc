@@ -32,7 +32,7 @@ Tracer::string(std::uint32_t id) const
 }
 
 SpanId
-Tracer::doBeginSpan(const char *cat, const char *name, Tick start)
+Tracer::beginSpan(const char *cat, const char *name, Tick start)
 {
     if (!enabled_)
         return 0;
@@ -61,8 +61,8 @@ Tracer::doBeginSpan(const char *cat, const char *name, Tick start)
 }
 
 std::uint64_t
-Tracer::doRecordSpan(const char *cat, const char *name, Tick start,
-                     Tick end, TraceContext ctx, std::uint64_t gid)
+Tracer::recordSpan(const char *cat, const char *name, Tick start,
+                   Tick end, TraceContext ctx, std::uint64_t gid)
 {
     if (!enabled_)
         return 0;
@@ -81,7 +81,7 @@ Tracer::doRecordSpan(const char *cat, const char *name, Tick start,
 }
 
 void
-Tracer::doEndSpan(SpanId id, Tick end)
+Tracer::endSpan(SpanId id, Tick end)
 {
     if (id == 0 || !enabled_)
         return;
@@ -102,7 +102,7 @@ Tracer::doEndSpan(SpanId id, Tick end)
 }
 
 void
-Tracer::doPhase(const char *name, Tick start, Tick end)
+Tracer::phase(const char *name, Tick start, Tick end)
 {
     if (!enabled_)
         return;
@@ -118,7 +118,7 @@ Tracer::doPhase(const char *name, Tick start, Tick end)
 }
 
 void
-Tracer::doInstant(const char *cat, const char *name, Tick at)
+Tracer::instant(const char *cat, const char *name, Tick at)
 {
     if (!enabled_)
         return;

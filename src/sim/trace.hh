@@ -14,7 +14,7 @@
  *              guarantee that the phases of a span partition it, which
  *              is what makes the per-phase sums reconcile with the
  *              end-to-end latency (tools/trace_dump --validate).
- *  - instants: point events. The 19 durability tracepoints
+ *  - instants: point events. The 21 durability tracepoints
  *              (sim/tracepoint.hh) are recorded as instants through
  *              tracepointHit(), so fault injection and tracing share
  *              one instrumentation surface.
@@ -37,10 +37,7 @@
  * file at any engine thread count.
  *
  * Cost: call sites hold a `Tracer *` and skip everything when none is
- * installed (one predictable branch). Defining BSSD_TRACING_DISABLED
- * (CMake option BSSD_DISABLE_TRACING) additionally compiles every
- * public entry point down to an empty inline body, for hot-path builds
- * that must not pay even the branch.
+ * installed (one predictable branch).
  */
 
 #ifndef BSSD_SIM_TRACE_HH
@@ -58,13 +55,6 @@
 
 namespace bssd::sim
 {
-
-/** True when tracing is compiled in (see BSSD_TRACING_DISABLED). */
-#ifdef BSSD_TRACING_DISABLED
-inline constexpr bool traceCompiled = false;
-#else
-inline constexpr bool traceCompiled = true;
-#endif
 
 /** Identifier of a live or finished span; 0 means "no span". */
 using SpanId = std::uint32_t;
@@ -137,40 +127,19 @@ class Tracer
      * tick is known. While live, the span is the implicit parent of
      * nested spans, phases and instants.
      */
-    SpanId
-    beginSpan(const char *cat, const char *name, Tick start)
-    {
-        if constexpr (traceCompiled)
-            return doBeginSpan(cat, name, start);
-        return 0;
-    }
+    SpanId beginSpan(const char *cat, const char *name, Tick start);
 
     /** Close span @p id at @p end. Ignores id 0 (disabled tracer). */
-    void
-    endSpan(SpanId id, Tick end)
-    {
-        if constexpr (traceCompiled)
-            doEndSpan(id, end);
-    }
+    void endSpan(SpanId id, Tick end);
 
     /**
      * Record one phase [@p start, @p end) of the innermost live span.
      * The caller is responsible for phases partitioning their span.
      */
-    void
-    phase(const char *name, Tick start, Tick end)
-    {
-        if constexpr (traceCompiled)
-            doPhase(name, start, end);
-    }
+    void phase(const char *name, Tick start, Tick end);
 
     /** Record a point event under the innermost live span. */
-    void
-    instant(const char *cat, const char *name, Tick at)
-    {
-        if constexpr (traceCompiled)
-            doInstant(cat, name, at);
-    }
+    void instant(const char *cat, const char *name, Tick at);
 
     /**
      * Record a complete span [@p start, @p end) outside the implicit
@@ -181,23 +150,12 @@ class Tracer
      * caller-minted @p gid. @p gid 0 mints one here.
      * @return the span's gid (0 when tracing is off).
      */
-    std::uint64_t
-    recordSpan(const char *cat, const char *name, Tick start, Tick end,
-               TraceContext ctx, std::uint64_t gid = 0)
-    {
-        if constexpr (traceCompiled)
-            return doRecordSpan(cat, name, start, end, ctx, gid);
-        return 0;
-    }
+    std::uint64_t recordSpan(const char *cat, const char *name, Tick start,
+                             Tick end, TraceContext ctx,
+                             std::uint64_t gid = 0);
 
     /** Innermost live span, or 0. */
-    SpanId
-    currentSpan() const
-    {
-        if constexpr (traceCompiled)
-            return stack_.empty() ? 0 : stack_.back();
-        return 0;
-    }
+    SpanId currentSpan() const { return stack_.empty() ? 0 : stack_.back(); }
 
     /** @name Trace-context propagation @{ */
 
@@ -207,22 +165,13 @@ class Tracer
      * distinct stream (the domain id) before recording, so gids stay
      * unique after the merge.
      */
-    void
-    setStream(std::uint32_t stream)
-    {
-        if constexpr (traceCompiled)
-            stream_ = stream;
-    }
+    void setStream(std::uint32_t stream) { stream_ = stream; }
 
     /** Mint the next global span id (0 while disabled). */
     std::uint64_t
     mintGid()
     {
-        if constexpr (traceCompiled) {
-            if (enabled_)
-                return (std::uint64_t(stream_) + 1) << 32 | ++gidSeq_;
-        }
-        return 0;
+        return enabled_ ? (std::uint64_t(stream_) + 1) << 32 | ++gidSeq_ : 0;
     }
 
     /**
@@ -234,19 +183,15 @@ class Tracer
     void
     pushContext(TraceContext ctx)
     {
-        if constexpr (traceCompiled) {
-            if (enabled_ && ctx.trace != 0)
-                ctxStack_.push_back(ctx);
-        }
+        if (enabled_ && ctx.trace != 0)
+            ctxStack_.push_back(ctx);
     }
 
     void
     popContext()
     {
-        if constexpr (traceCompiled) {
-            if (enabled_ && !ctxStack_.empty())
-                ctxStack_.pop_back();
-        }
+        if (enabled_ && !ctxStack_.empty())
+            ctxStack_.pop_back();
     }
 
     /**
@@ -257,32 +202,22 @@ class Tracer
     TraceContext
     currentContext() const
     {
-        if constexpr (traceCompiled) {
-            for (std::size_t i = stack_.size(); i-- > 0;) {
-                const Event &e = events_[stack_[i] - 1];
-                if (e.trace != 0)
-                    return TraceContext{e.trace, e.gid};
-            }
-            if (!ctxStack_.empty())
-                return ctxStack_.back();
+        for (std::size_t i = stack_.size(); i-- > 0;) {
+            const Event &e = events_[stack_[i] - 1];
+            if (e.trace != 0)
+                return TraceContext{e.trace, e.gid};
         }
-        return TraceContext{};
+        return ctxStack_.empty() ? TraceContext{} : ctxStack_.back();
     }
 
     /** Depth of the pushed-context stack (tests; 0 while disabled). */
-    std::size_t
-    contextDepth() const
-    {
-        if constexpr (traceCompiled)
-            return ctxStack_.size();
-        return 0;
-    }
+    std::size_t contextDepth() const { return ctxStack_.size(); }
 
     /** @} */
 
     /** Runtime enable toggle (records nothing while disabled). */
     void setEnabled(bool on) { enabled_ = on; }
-    bool enabled() const { return traceCompiled && enabled_; }
+    bool enabled() const { return enabled_; }
 
     /** @} */
 
@@ -327,14 +262,6 @@ class Tracer
     /** @} */
 
   private:
-    SpanId doBeginSpan(const char *cat, const char *name, Tick start);
-    void doEndSpan(SpanId id, Tick end);
-    std::uint64_t doRecordSpan(const char *cat, const char *name,
-                               Tick start, Tick end, TraceContext ctx,
-                               std::uint64_t gid);
-    void doPhase(const char *name, Tick start, Tick end);
-    void doInstant(const char *cat, const char *name, Tick at);
-
     std::uint32_t intern(const char *s);
 
     bool enabled_ = true;

@@ -1,15 +1,17 @@
 /**
  * @file
- * Unit tests for the discrete-event kernel: ordering and cancellation
- * semantics, plus the slab-pool guarantees — prompt callback release
- * on deschedule, bounded memory under schedule/cancel churn, and
- * generation-tagged handle safety across slot reuse.
+ * Unit tests for the discrete-event kernel: (tick, schedule) firing
+ * order, the window and run-until bounds, and the callback slab —
+ * captures released once their event fires, slots reused without
+ * disturbing same-tick order, and growth while a callback runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -25,7 +27,7 @@ TEST(EventQueue, RunsInTimeOrder)
     q.schedule(30, [&] { order.push_back(3); });
     q.schedule(10, [&] { order.push_back(1); });
     q.schedule(20, [&] { order.push_back(2); });
-    q.run();
+    q.runWindow(maxTick);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(q.now(), 30u);
 }
@@ -37,7 +39,7 @@ TEST(EventQueue, SameTickFiresInScheduleOrder)
     q.schedule(5, [&] { order.push_back(1); });
     q.schedule(5, [&] { order.push_back(2); });
     q.schedule(5, [&] { order.push_back(3); });
-    q.run();
+    q.runWindow(maxTick);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -47,15 +49,14 @@ TEST(EventQueue, SameTickOrderSurvivesSlotReuse)
     // still break same-tick ties in scheduling order.
     EventQueue q;
     std::vector<int> order;
-    auto a = q.schedule(5, [&] { order.push_back(-1); });
-    auto b = q.schedule(5, [&] { order.push_back(-2); });
-    q.deschedule(b);
-    q.deschedule(a); // free list now holds both slots
+    q.schedule(1, [&] { order.push_back(-1); });
+    q.schedule(1, [&] { order.push_back(-2); });
+    q.runUntil(1); // firing frees both slots for the next three
     q.schedule(5, [&] { order.push_back(1); });
     q.schedule(5, [&] { order.push_back(2); });
     q.schedule(5, [&] { order.push_back(3); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    q.runWindow(maxTick);
+    EXPECT_EQ(order, (std::vector<int>{-1, -2, 1, 2, 3}));
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundary)
@@ -77,60 +78,12 @@ TEST(EventQueue, EventsCanScheduleEvents)
     int depth = 0;
     std::function<void()> chain = [&] {
         if (++depth < 5)
-            q.scheduleIn(10, chain);
+            q.schedule(q.now() + nsOf(10), chain);
     };
     q.schedule(0, chain);
-    q.run();
+    q.runWindow(maxTick);
     EXPECT_EQ(depth, 5);
     EXPECT_EQ(q.now(), 40u);
-}
-
-TEST(EventQueue, DescheduleCancels)
-{
-    EventQueue q;
-    bool ran = false;
-    auto id = q.schedule(10, [&] { ran = true; });
-    EXPECT_TRUE(q.deschedule(id));
-    EXPECT_FALSE(q.deschedule(id)); // double cancel is a no-op
-    q.run();
-    EXPECT_FALSE(ran);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, DescheduleOfFiredIdIsNoop)
-{
-    EventQueue q;
-    auto id = q.schedule(10, [] {});
-    q.run();
-    EXPECT_FALSE(q.deschedule(id));
-}
-
-TEST(EventQueue, StaleIdDoesNotCancelSlotReuser)
-{
-    // After a slot is recycled, a stale handle to its previous tenant
-    // must not cancel the new event (the generation tag differs).
-    EventQueue q;
-    bool ran = false;
-    auto old = q.schedule(10, [] {});
-    q.deschedule(old);
-    q.schedule(10, [&] { ran = true; }); // likely reuses old's slot
-    EXPECT_FALSE(q.deschedule(old));
-    q.run();
-    EXPECT_TRUE(ran);
-}
-
-TEST(EventQueue, DescheduleReleasesCallbackState)
-{
-    // Cancelling must release the captured state immediately, not when
-    // the cancelled entry eventually surfaces from the heap.
-    EventQueue q;
-    auto token = std::make_shared<int>(42);
-    std::weak_ptr<int> watch = token;
-    auto id = q.schedule(1000, [token] { (void)*token; });
-    token.reset();
-    EXPECT_FALSE(watch.expired()); // capture keeps it alive
-    EXPECT_TRUE(q.deschedule(id));
-    EXPECT_TRUE(watch.expired()); // released at cancel time
 }
 
 TEST(EventQueue, FiredCallbackStateReleasedBeforeInvoke)
@@ -142,32 +95,8 @@ TEST(EventQueue, FiredCallbackStateReleasedBeforeInvoke)
     std::weak_ptr<int> watch = token;
     q.schedule(10, [token] { (void)*token; });
     token.reset();
-    q.run();
+    q.runWindow(maxTick);
     EXPECT_TRUE(watch.expired());
-}
-
-TEST(EventQueue, ChurnKeepsMemoryBounded)
-{
-    // Regression test for the cancelled-entry leak: a schedule/cancel
-    // churn of 1M events must not accumulate heap entries or slab
-    // slots. Each iteration leaves one pending keeper event so the
-    // queue is never trivially empty.
-    EventQueue q;
-    auto keeper = q.schedule(1u << 30, [] {});
-    for (int i = 0; i < 1'000'000; ++i) {
-        auto id = q.schedule(q.now() + usOf(1), [i] {
-            volatile int sink = i;
-            (void)sink;
-        });
-        ASSERT_TRUE(q.deschedule(id));
-    }
-    EXPECT_EQ(q.pending(), 1u);
-    // Lazy deletion plus compaction: transient garbage is fine, but it
-    // must stay within a constant factor, not O(churn).
-    EXPECT_LE(q.heapEntries(), 4096u);
-    EXPECT_LE(q.poolCapacity(), 64u);
-    EXPECT_TRUE(q.deschedule(keeper));
-    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, LargeCapturesFallBackToHeap)
@@ -182,39 +111,16 @@ TEST(EventQueue, LargeCapturesFallBackToHeap)
     big.payload[15] = 99;
     std::uint64_t seen = 0;
     q.schedule(5, [big, &seen] { seen = big.payload[0] + big.payload[15]; });
-    q.run();
+    q.runWindow(maxTick);
     EXPECT_EQ(seen, 100u);
-}
-
-TEST(EventQueue, CallbackCanCancelSibling)
-{
-    EventQueue q;
-    bool ran = false;
-    EventQueue::EventId victim = 0;
-    q.schedule(5, [&] { q.deschedule(victim); });
-    victim = q.schedule(10, [&] { ran = true; });
-    q.run();
-    EXPECT_FALSE(ran);
-    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ScheduleInPastPanics)
 {
     EventQueue q;
     q.schedule(10, [] {});
-    q.run();
+    q.runWindow(maxTick);
     EXPECT_THROW(q.schedule(5, [] {}), SimPanic);
-}
-
-TEST(EventQueue, RunWithLimit)
-{
-    EventQueue q;
-    int fired = 0;
-    for (int i = 0; i < 10; ++i)
-        q.schedule(static_cast<Tick>(i), [&] { ++fired; });
-    EXPECT_EQ(q.run(4), 4u);
-    EXPECT_EQ(fired, 4);
-    EXPECT_EQ(q.pending(), 6u);
 }
 
 TEST(EventQueue, TotalFiredCounts)
@@ -222,10 +128,11 @@ TEST(EventQueue, TotalFiredCounts)
     EventQueue q;
     for (int i = 0; i < 5; ++i)
         q.schedule(static_cast<Tick>(i), [] {});
-    auto cancelled = q.schedule(99, [] {});
-    q.deschedule(cancelled);
-    q.run();
+    q.schedule(99, [] {});
+    EXPECT_EQ(q.runWindow(99), 5u);
     EXPECT_EQ(q.totalFired(), 5u);
+    EXPECT_EQ(q.runWindow(maxTick), 1u);
+    EXPECT_EQ(q.totalFired(), 6u);
 }
 
 TEST(EventQueue, AdvanceToMovesTimeForward)
@@ -233,7 +140,93 @@ TEST(EventQueue, AdvanceToMovesTimeForward)
     EventQueue q;
     q.advanceTo(100);
     EXPECT_EQ(q.now(), 100u);
+    q.advanceTo(100); // advancing to the current tick is a no-op
+    EXPECT_EQ(q.now(), 100u);
     EXPECT_THROW(q.advanceTo(50), SimPanic);
+    EXPECT_THROW(q.runUntil(99), SimPanic);
+    EXPECT_THROW(q.runUntil(maxTick), SimPanic); // no tick past it
+}
+
+TEST(EventQueue, CompactionAtAdvanceToBoundary)
+{
+    // A 2,049-event population scheduled exactly at the advanceTo
+    // target: runUntil of that boundary fires all of it, in schedule
+    // order, and leaves no heap entry behind (there is nothing to
+    // compact). advanceTo the boundary it already reached is a no-op,
+    // moving backwards still panics, and the freed slots serve the
+    // next population at the same tick.
+    EventQueue q;
+    std::vector<int> order;
+    for (int i = 0; i < 2049; ++i)
+        q.schedule(100, [&order, i] { order.push_back(i); });
+    EXPECT_EQ(q.pending(), 2049u);
+    EXPECT_EQ(q.runUntil(100), 2049u);
+    ASSERT_EQ(order.size(), 2049u);
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_EQ(q.nextEventTime(), maxTick);
+    EXPECT_EQ(q.now(), 100u);
+    q.advanceTo(100);
+    EXPECT_EQ(q.now(), 100u);
+    EXPECT_THROW(q.advanceTo(99), SimPanic);
+
+    order.clear();
+    q.schedule(100, [&] { order.push_back(1); });
+    q.schedule(100, [&] { order.push_back(2); });
+    EXPECT_EQ(q.runUntil(100), 2u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(q.totalFired(), 2051u);
+}
+
+TEST(EventQueue, SlabGrowsWhileFiring)
+{
+    // One callback schedules 12,000 events, a third of them with a
+    // capture too large for the inline buffer, so the slab reallocates
+    // under the running callback. Each event must fire once, in
+    // (tick, schedule) order, and each capture must be destroyed once.
+    struct Probe
+    {
+        int *destroyed;
+        bool live = true;
+        explicit Probe(int *d) : destroyed(d) {}
+        Probe(Probe &&o) noexcept : destroyed(o.destroyed)
+        {
+            o.live = false;
+        }
+        Probe &operator=(Probe &&) = delete;
+        ~Probe()
+        {
+            if (live)
+                ++*destroyed;
+        }
+    };
+    struct Pad
+    {
+        std::uint64_t words[8]; // 64 B: past kInlineBytes with the probe
+    };
+    constexpr int kEvents = 12'000;
+    EventQueue q;
+    int destroyed = 0;
+    std::vector<std::pair<Tick, int>> fired;
+    q.schedule(10, [&] {
+        for (int i = 0; i < kEvents; ++i) {
+            const Tick when = 10 + static_cast<Tick>(i * 7919 % 97);
+            auto record = [&fired, &q, i] { fired.emplace_back(q.now(), i); };
+            if (i % 3 == 0) {
+                q.schedule(when, [record, p = Probe(&destroyed), pad = Pad{}] {
+                    (void)pad;
+                    record();
+                });
+            } else {
+                q.schedule(when, [record, p = Probe(&destroyed)] { record(); });
+            }
+        }
+    });
+    EXPECT_EQ(q.runWindow(maxTick), std::size_t(kEvents) + 1);
+    ASSERT_EQ(fired.size(), std::size_t(kEvents));
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+    EXPECT_EQ(destroyed, kEvents);
+    EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(InlineCallback, MoveTransfersOwnership)
@@ -267,15 +260,17 @@ TEST(InlineCallback, HeapFallbackDestroysExactlyOnce)
 
 // ---- runWindow / nextEventTime (parallel-engine work loop) ----
 
-TEST(EventQueue, NextEventTimePrunesCancelled)
+TEST(EventQueue, NextEventTimeIsEarliestPending)
 {
     EventQueue q;
     EXPECT_EQ(q.nextEventTime(), maxTick);
-    auto early = q.schedule(10, [] {});
     q.schedule(20, [] {});
+    q.schedule(10, [] {});
     EXPECT_EQ(q.nextEventTime(), 10u);
-    q.deschedule(early);
+    q.runUntil(10);
     EXPECT_EQ(q.nextEventTime(), 20u);
+    q.runUntil(20);
+    EXPECT_EQ(q.nextEventTime(), maxTick);
 }
 
 TEST(EventQueue, RunWindowBoundIsStrict)
@@ -297,9 +292,9 @@ TEST(EventQueue, RunWindowBoundIsStrict)
 
 TEST(EventQueue, RunWindowBatchPreservesScheduleOrder)
 {
-    // A same-tick ready batch (the SoA drain) must fire in schedule
-    // order, and same-tick events scheduled from inside the batch must
-    // fire after it — identical to the one-at-a-time loop.
+    // Same-tick events fire in schedule order, and a same-tick event
+    // scheduled by one of them fires after every event already queued
+    // for that tick.
     EventQueue q;
     std::vector<int> order;
     q.schedule(5, [&] {
@@ -310,103 +305,4 @@ TEST(EventQueue, RunWindowBatchPreservesScheduleOrder)
     q.schedule(5, [&] { order.push_back(3); });
     EXPECT_EQ(q.runWindow(6), 4u);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(EventQueue, DescheduleDuringBatchFire)
-{
-    // The first event of a same-tick batch cancels a later one whose
-    // heap entry is already drained out of the heap: the victim must
-    // not fire and the stale-entry accounting must stay exact.
-    EventQueue q;
-    std::vector<int> order;
-    EventQueue::EventId victim = 0;
-    q.schedule(5, [&] {
-        order.push_back(1);
-        EXPECT_TRUE(q.deschedule(victim));
-    });
-    victim = q.schedule(5, [&] { order.push_back(2); });
-    q.schedule(5, [&] { order.push_back(3); });
-    EXPECT_EQ(q.runWindow(6), 2u);
-    EXPECT_EQ(order, (std::vector<int>{1, 3}));
-    EXPECT_TRUE(q.empty());
-
-    // The queue stays fully usable afterwards (no stale under/over
-    // count): drive heavy churn through the same queue and drain it.
-    constexpr Tick kChurnBase = 100;
-    for (int round = 0; round < 4; ++round) {
-        std::vector<EventQueue::EventId> ids;
-        for (Tick t = 10; t < 1500; ++t)
-            ids.push_back(q.schedule(kChurnBase + t, [] {}));
-        for (EventQueue::EventId id : ids)
-            EXPECT_TRUE(q.deschedule(id));
-    }
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.runWindow(maxTick), 0u);
-}
-
-TEST(EventQueue, DescheduledBatchSlotReuseIsSafe)
-{
-    // Cancel a drained batch entry, then immediately reuse its slab
-    // slot for a new same-tick event: the new event must fire (in
-    // seq order, after the current batch) and the old one must not.
-    EventQueue q;
-    std::vector<int> order;
-    EventQueue::EventId victim = 0;
-    q.schedule(7, [&] {
-        order.push_back(1);
-        EXPECT_TRUE(q.deschedule(victim));
-        // Reuses the victim's freed slot with a fresh generation.
-        q.schedule(7, [&] { order.push_back(9); });
-    });
-    victim = q.schedule(7, [&] { order.push_back(2); });
-    EXPECT_EQ(q.runWindow(8), 2u);
-    EXPECT_EQ(order, (std::vector<int>{1, 9}));
-}
-
-TEST(EventQueue, DescheduleStormDuringFireCompacts)
-{
-    // A firing callback cancels thousands of pending events, pushing
-    // the heap past the compaction threshold mid-run; survivors must
-    // still fire in order.
-    EventQueue q;
-    std::vector<EventQueue::EventId> victims;
-    std::vector<int> order;
-    for (int i = 0; i < 3000; ++i)
-        victims.push_back(q.schedule(50, [&] { order.push_back(-1); }));
-    q.schedule(10, [&] {
-        order.push_back(1);
-        for (EventQueue::EventId id : victims)
-            EXPECT_TRUE(q.deschedule(id));
-    });
-    q.schedule(60, [&] { order.push_back(2); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    // Compaction dropped the cancelled entries from the heap.
-    EXPECT_LT(q.heapEntries(), 16u);
-}
-
-TEST(EventQueue, CompactionAtAdvanceToBoundary)
-{
-    // Cancel a compaction-threshold-sized population scheduled exactly
-    // at the advanceTo target, then advance to that boundary: time
-    // moves, nothing fires, and the one survivor at the boundary still
-    // fires via runUntil.
-    EventQueue q;
-    std::vector<int> order;
-    std::vector<EventQueue::EventId> ids;
-    for (int i = 0; i < 2048; ++i)
-        ids.push_back(q.schedule(100, [&] { order.push_back(-1); }));
-    auto keep = q.schedule(100, [&] { order.push_back(1); });
-    (void)keep;
-    for (EventQueue::EventId id : ids)
-        EXPECT_TRUE(q.deschedule(id));
-    EXPECT_LT(q.heapEntries(), 2048u); // compaction ran
-    EXPECT_EQ(q.pending(), 1u);
-    EXPECT_EQ(q.runUntil(100), 1u);
-    EXPECT_EQ(order, (std::vector<int>{1}));
-    EXPECT_EQ(q.now(), 100u);
-    // advanceTo at the boundary it already reached is a no-op...
-    q.advanceTo(100);
-    // ...and moving backwards still panics.
-    EXPECT_THROW(q.advanceTo(99), SimPanic);
 }

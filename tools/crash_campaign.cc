@@ -17,12 +17,13 @@
  *   crash_campaign --cap-scale=0.25 --torn-wc   # layered faults
  *
  * Exit status: 0 when every tested crash point recovered, 1 otherwise,
- * 2 on usage errors.
+ * 2 on usage errors (a numeric flag that is not wholly a number in
+ * range among them).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -31,6 +32,7 @@
 #include "sim/logging.hh"
 #include "sim/report.hh"
 
+#include "../bench/bench_util.hh"
 #include "../tests/support/crash_harness.hh"
 
 using namespace bssd;
@@ -103,8 +105,12 @@ parseArgs(int argc, char **argv)
         auto eq = a.find('=');
         std::string key = a.substr(0, eq);
         std::string val = eq == std::string::npos ? "" : a.substr(eq + 1);
-        auto num = [&]() { return std::strtoull(val.c_str(), nullptr, 10); };
-        auto flt = [&]() { return std::strtod(val.c_str(), nullptr); };
+        auto num = [&](std::uint64_t min = 0) {
+            return bench::unsignedValue(key, val.c_str(), min, UINT64_MAX);
+        };
+        // Both float flags are fractions: a probability and the share
+        // of the capacitors' design energy left after ageing.
+        auto frac = [&] { return bench::decimalValue(key, val.c_str(), 1.0); };
         if (key == "--engine") {
             o.engine = val;
         } else if (key == "--wal") {
@@ -112,7 +118,7 @@ parseArgs(int argc, char **argv)
         } else if (key == "--seed") {
             o.seed = num();
         } else if (key == "--seeds") {
-            o.seeds = num();
+            o.seeds = num(1);
         } else if (key == "--point") {
             o.point = num();
         } else if (key == "--max-points") {
@@ -120,9 +126,9 @@ parseArgs(int argc, char **argv)
         } else if (key == "--shrink") {
             o.shrink = true;
         } else if (key == "--nand-fail-rate") {
-            o.plan.nandProgramFailRate = flt();
+            o.plan.nandProgramFailRate = frac();
         } else if (key == "--cap-scale") {
-            o.plan.capacitorEnergyScale = flt();
+            o.plan.capacitorEnergyScale = frac();
         } else if (key == "--torn-wc") {
             o.plan.wcPartialLineOnPowerCut = true;
         } else if (key == "--posted-drop-ns") {
@@ -236,7 +242,10 @@ int
 runCells(const Options &o, WalKind wal)
 {
     int failures = 0;
-    for (std::uint64_t s = o.seed; s < o.seed + o.seeds; ++s) {
+    // Count seeds rather than compare against seed + seeds, which
+    // wraps to an empty range when --seed is near the top.
+    for (std::uint64_t i = 0; i < o.seeds; ++i) {
+        const std::uint64_t s = o.seed + i;
         CellConfig cc;
         cc.maxPoints = o.maxPoints;
         cc.plan = o.plan;

@@ -16,6 +16,8 @@
  * Usage:
  *   critical_path [--top=K] [--json] FILE
  *
+ * A --top that is not wholly a number exits 2 with a message naming it.
+ *
  * Layers (span category -> blame bucket):
  *   router, cluster        -> router       (host-side queueing, holds)
  *   shard                  -> store        (command execution)
@@ -32,6 +34,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -39,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "../bench/bench_util.hh"
 #include "trace_json.hh"
 
 namespace
@@ -239,8 +243,8 @@ main(int argc, char **argv)
         if (a == "--json") {
             json = true;
         } else if (a.compare(0, 6, "--top=") == 0) {
-            topK = static_cast<std::size_t>(
-                std::strtoull(a.c_str() + 6, nullptr, 10));
+            topK = static_cast<std::size_t>(bssd::bench::unsignedValue(
+                "--top", a.c_str() + 6, 0, SIZE_MAX));
         } else if (!a.empty() && a[0] != '-') {
             file = a;
         } else {

@@ -24,10 +24,12 @@
  * stitching is sound: span gids are unique, every xparent resolves to
  * a span carrying the same trace id, local parent links never cross
  * trace ids, and no trace has more than one root span. Exit status 1
- * on any violation (CI runs this against a freshly generated trace).
+ * on any violation (CI runs this against a freshly generated trace),
+ * 2 when a numeric filter is not wholly a number in range.
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -35,12 +37,16 @@
 #include <string>
 #include <vector>
 
+#include "../bench/bench_util.hh"
 #include "trace_json.hh"
 
 namespace
 {
 
 using bssd::tools::TraceEvent;
+
+/** Ticks are unsigned nanoseconds, so no event starts past this. */
+constexpr double kMaxUs = 18446744073709551615.0 / 1000.0;
 
 struct Options
 {
@@ -326,13 +332,12 @@ main(int argc, char **argv)
         } else if (const char *v = val("--name")) {
             opt.name = v;
         } else if (const char *v = val("--from-us")) {
-            opt.fromUs = std::strtod(v, nullptr);
+            opt.fromUs = bssd::bench::decimalValue("--from-us", v, kMaxUs);
         } else if (const char *v = val("--to-us")) {
-            opt.toUs = std::strtod(v, nullptr);
+            opt.toUs = bssd::bench::decimalValue("--to-us", v, kMaxUs);
         } else if (const char *v = val("--request")) {
-            opt.request = std::strtoull(v, nullptr, 10);
-            if (opt.request == 0)
-                return fail("--request expects a non-zero trace id");
+            opt.request =
+                bssd::bench::unsignedValue("--request", v, 1, UINT64_MAX);
         } else if (!a.empty() && a[0] != '-') {
             opt.file = a;
         } else {
