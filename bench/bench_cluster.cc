@@ -24,8 +24,8 @@
  *                      [--trace=FILE]
  *   --small        CI preset: same 8-shard shape, ~3k ops, traced
  *   --threads=N    run every mix at exactly N engine threads (skips
- *                  the 1/2/8 identity sweep; CI runs this at 1, 4
- *                  and 8 and cmp's the --out artifacts)
+ *                  the 1/2/8 identity sweep; baselines/IDENTITY
+ *                  holds the artifacts at 1, 4 and 8 to one hash)
  *   --queues=N     host NVMe I/O queue pairs per shard (default 1,
  *                  at most 65535)
  *   --qdepth=N     batches each pair admits; 0 = unbounded (default,
@@ -37,7 +37,8 @@
  *   --trace=FILE   Chrome trace of the LAST mix's serial run (small
  *                  preset only; feeds trace_dump --validate)
  *
- * A numeric flag that is not a number in range exits 2.
+ * A numeric flag that is not a number in range exits 2, and so does
+ * --trace without --small.
  */
 
 #include <algorithm>
@@ -267,6 +268,12 @@ main(int argc, char **argv)
     const std::string outPath = stringArg(argc, argv, "--out");
     std::string jsonPath = stringArg(argc, argv, "--json");
     const std::string tracePath = stringArg(argc, argv, "--trace");
+    // Tracing records every span of the run, which only the small
+    // preset keeps to a few megabytes.
+    if (!small && !tracePath.empty()) {
+        std::fprintf(stderr, "error: --trace needs --small\n");
+        return 2;
+    }
     if (jsonPath.empty() && outPath.empty())
         jsonPath = "BENCH_cluster.json";
 
@@ -288,13 +295,13 @@ main(int argc, char **argv)
     bool verified = false;
 
     if (threads) {
-        // Pinned thread count: CI runs this at 1, 4 and 8 and
-        // byte-compares the artifacts.
+        // Pinned thread count: baselines/IDENTITY runs this at 1, 4
+        // and 8 and holds every artifact to one hash.
         const unsigned n = std::max(1u, *threads);
         section("mixes at " + std::to_string(n) + " engine thread(s)");
         for (const Mix &mix : mixes) {
             sim::Tracer tracer;
-            const bool wantTrace = small && !tracePath.empty();
+            const bool wantTrace = !tracePath.empty();
             runs.push_back(
                 runMix(mix, n, wantTrace ? &tracer : nullptr));
             printRow(runs.back());
@@ -310,7 +317,7 @@ main(int argc, char **argv)
         section("1/2/8-thread identity sweep");
         for (const Mix &mix : mixes) {
             sim::Tracer tracer;
-            const bool wantTrace = small && !tracePath.empty();
+            const bool wantTrace = !tracePath.empty();
             MixRun serial =
                 runMix(mix, 1, wantTrace ? &tracer : nullptr);
             for (unsigned n : {2u, 8u}) {

@@ -338,12 +338,6 @@ Cluster::~Cluster()
     host_.release(this);
 }
 
-sim::Domain &
-Cluster::shardDomain(unsigned s)
-{
-    return shards_[s]->domain();
-}
-
 void
 Cluster::buildShards(sim::Tracer *trace)
 {

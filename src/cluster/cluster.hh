@@ -253,7 +253,6 @@ class Cluster
     /** One shard: a store × WAL × device rig living in one domain. */
     struct Shard;
 
-    sim::Domain &shardDomain(unsigned s);
     void buildShards(sim::Tracer *trace);
     host::ShardRouter::ShardExec makeExec();
     void buildSlo();

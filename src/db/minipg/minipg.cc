@@ -456,13 +456,14 @@ MiniPg::recover()
     // ARIES-lite redo of the durable log suffix, in sequence order.
     seq_ = snapshotSeq_;
     gc_.reset();
-    auto recs = wal::parseLogStream(log_.recoverContents(),
-                                    log_.recoveryChunkBytes(),
+    const std::vector<std::uint8_t> xlog = log_.recoverContents();
+    auto recs = wal::parseLogStream(xlog, log_.recoveryChunkBytes(),
                                     static_cast<std::int64_t>(seq_));
     for (const auto &r : recs) {
         apply(r.payload);
         seq_ = r.sequence + 1;
     }
+    log_.resume(std::span(xlog).first(recs.empty() ? 0 : recs.back().end));
 }
 
 void

@@ -314,13 +314,14 @@ MiniRedis::recover()
     undo_.clear();
     ++generation_;
     seq_ = snapshotSeq_;
-    auto recs = wal::parseLogStream(aof_.recoverContents(),
-                                    aof_.recoveryChunkBytes(),
+    const std::vector<std::uint8_t> aof = aof_.recoverContents();
+    auto recs = wal::parseLogStream(aof, aof_.recoveryChunkBytes(),
                                     static_cast<std::int64_t>(seq_));
     for (const auto &r : recs) {
         apply(r.payload);
         seq_ = r.sequence + 1;
     }
+    aof_.resume(std::span(aof).first(recs.empty() ? 0 : recs.back().end));
 }
 
 std::uint64_t

@@ -362,17 +362,21 @@ MiniRocks::recover()
     //    sequence, strictly increasing.
     seq_ = flushedSeq_;
     gc_.reset();
-    auto recs = wal::parseLogStream(log_.recoverContents(),
-                                    log_.recoveryChunkBytes(), -1);
+    const std::vector<std::uint8_t> stream = log_.recoverContents();
+    auto recs = wal::parseLogStream(stream, log_.recoveryChunkBytes(), -1);
     std::uint64_t last = 0;
+    std::uint64_t kept = 0;
     bool first = true;
     for (const auto &r : recs) {
-        if (r.sequence < flushedSeq_)
+        if (r.sequence < flushedSeq_) {
+            kept = r.end;
             continue; // already covered by an SST
+        }
         if (first ? r.sequence != flushedSeq_ : r.sequence != last + 1)
             break; // gap or stale data from an older log generation
         first = false;
         last = r.sequence;
+        kept = r.end;
 
         std::size_t p = 0;
         std::uint8_t op = r.payload[p++];
@@ -393,6 +397,7 @@ MiniRocks::recover()
         }
         seq_ = r.sequence + 1;
     }
+    log_.resume(std::span(stream).first(kept));
 }
 
 } // namespace bssd::db::minirocks

@@ -67,12 +67,6 @@ ShardRouter::start()
     host_.queue().schedule(arrivals_.next(), [this] { cycle(); });
 }
 
-void
-ShardRouter::setRoute(RouteFn route)
-{
-    route_ = std::move(route);
-}
-
 unsigned
 ShardRouter::routeOf(const RouterOp &op) const
 {

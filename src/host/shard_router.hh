@@ -152,7 +152,9 @@ class ShardRouter
      *      host→shard (lookahead <= cfg.requestLatency) and
      *      shard→host (lookahead <= cfg.completionLatency).
      * @param route shard-selection function; nullptr = key modulo
-     *              shard count.
+     *              shard count. It is fixed for the run, so a
+     *              rebalancing caller passes one that reads its live
+     *              shard map.
      */
     ShardRouter(const RouterConfig &cfg, sim::Domain &hostDomain,
                 std::vector<sim::Domain *> shardDomains, ShardExec exec,
@@ -164,14 +166,11 @@ class ShardRouter
 
     /** @name Rebalance hooks (host domain only) @{ */
 
-    /** Swap the shard-selection function (after a map flip). */
-    void setRoute(RouteFn route);
-
     /** Park matching ops instead of dispatching (nullptr = none). */
     void setHold(HoldFn hold) { hold_ = std::move(hold); }
 
-    /** Re-route every parked op through the current route function
-     *  and dispatch immediately. Clears the parked queue. */
+    /** Re-route every parked op through the route function and
+     *  dispatch immediately. Clears the parked queue. */
     void releaseHeld();
 
     /** Parked operations currently queued. */

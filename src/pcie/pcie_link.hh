@@ -76,14 +76,6 @@ struct PcieConfig
         return postedWriteCost + postedPropagation;
     }
 
-    /** Cheapest possible device→host signal (an MSI is an upstream
-     *  posted write): wire propagation alone. */
-    sim::Tick
-    minUpstreamLatency() const
-    {
-        return postedPropagation;
-    }
-
     /** @} */
 };
 

@@ -151,9 +151,6 @@ RunReport::writeJson(std::ostream &os) const
     if (series) {
         os << ",\n  \"series\": ";
         series->writeJson(os, 2);
-    } else if (mergedSeries) {
-        os << ",\n  \"series\": ";
-        mergedSeries->writeJson(os, 2);
     }
     os << "\n}\n";
 }

@@ -116,9 +116,6 @@ struct RunReport
     std::vector<Tracer::PhaseStat> phases;
     /** Optional gauge time series; null when none was sampled. */
     const GaugeSampler *series = nullptr;
-    /** Optional merged multi-sampler series (cluster runs); emitted
-     *  as "series" when `series` itself is null. */
-    const SeriesTable *mergedSeries = nullptr;
 
     /**
      * Emit the report as one JSON object with stable field order:

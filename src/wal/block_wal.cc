@@ -92,6 +92,19 @@ BlockWal::recoverContents()
 }
 
 void
+BlockWal::resume(std::span<const std::uint8_t> kept)
+{
+    // Reload the image up to the end of the replayed records, so the
+    // next commit rewrites their tail page with them still in it and
+    // the next recovery finds one unbroken sequence.
+    const std::uint32_t ps = dev_.pageSize();
+    staged_.assign((kept.size() + ps - 1) / ps * ps, 0);
+    std::copy(kept.begin(), kept.end(), staged_.begin());
+    appendPos_ = kept.size();
+    durablePos_ = kept.size();
+}
+
+void
 BlockWal::truncate(sim::Tick)
 {
     dev_.trim(cfg_.regionOffset, cfg_.regionBytes);

@@ -48,6 +48,7 @@ class BlockWal : public LogDevice
     sim::Tick commit(sim::Tick now) override;
     void crash(sim::Tick t) override;
     std::vector<std::uint8_t> recoverContents() override;
+    void resume(std::span<const std::uint8_t> kept) override;
     std::string name() const override { return "block-wal"; }
     std::uint64_t bytesAppended() const override { return appendPos_; }
     std::uint64_t bytesToStore() const override { return bytesWritten_; }

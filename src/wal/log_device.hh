@@ -63,6 +63,15 @@ class LogDevice
      */
     virtual std::vector<std::uint8_t> recoverContents() = 0;
 
+    /**
+     * End recovery: @p kept is the prefix of recoverContents() that
+     * the engine replayed, and the next append must land right behind
+     * it. A log whose append position is host state that crash()
+     * loses restarts there; the default keeps the position the log
+     * already has.
+     */
+    virtual void resume(std::span<const std::uint8_t> kept) { (void)kept; }
+
     /** Human-readable configuration name (for benchmark tables). */
     virtual std::string name() const = 0;
 

@@ -185,8 +185,9 @@ parseRecords(std::span<const std::uint8_t> bytes, std::int64_t expect_first)
         ParsedRecord rec;
         rec.sequence = seq;
         rec.payload.assign(body.begin() + 8, body.end());
-        out.push_back(std::move(rec));
         pos += recordHeaderBytes + len;
+        rec.end = pos;
+        out.push_back(std::move(rec));
         if (expect >= 0)
             ++expect;
     }
@@ -212,8 +213,10 @@ parseLogStream(std::span<const std::uint8_t> bytes,
         else if (!out.empty() &&
                  recs.front().sequence != out.back().sequence + 1)
             break; // stale chunk from a previous generation
-        for (auto &r : recs)
+        for (auto &r : recs) {
+            r.end += pos;
             out.push_back(std::move(r));
+        }
     }
     return out;
 }

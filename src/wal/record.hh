@@ -34,6 +34,8 @@ struct ParsedRecord
 {
     std::uint64_t sequence = 0;
     std::vector<std::uint8_t> payload;
+    /** Offset just past the record in the parsed stream. */
+    std::uint64_t end = 0;
 };
 
 /** Bytes of framing overhead per record. */

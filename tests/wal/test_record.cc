@@ -151,8 +151,12 @@ TEST(Record, MultipleRecordsParseInOrder)
     }
     auto recs = parseRecords(stream, 0);
     ASSERT_EQ(recs.size(), 10u);
-    for (std::uint64_t s = 0; s < 10; ++s)
+    std::uint64_t end = 0;
+    for (std::uint64_t s = 0; s < 10; ++s) {
         EXPECT_EQ(recs[s].sequence, s);
+        end += recordHeaderBytes + 16 + s;
+        EXPECT_EQ(recs[s].end, end);
+    }
 }
 
 TEST(Record, TornTailStopsParse)
@@ -211,6 +215,9 @@ TEST(Record, ChunkedStreamSkipsPadding)
     auto recs = parseLogStream(stream, chunk, 0);
     ASSERT_EQ(recs.size(), 2u);
     EXPECT_EQ(recs[1].sequence, 1u);
+    // Ends are offsets in the whole stream, not in the chunk.
+    EXPECT_EQ(recs[0].end, a.size());
+    EXPECT_EQ(recs[1].end, chunk + b.size());
 }
 
 TEST(Record, ChunkedStreamStopsAtDeadChunk)
