@@ -66,10 +66,11 @@ redisKey(std::uint64_t key)
  * 2004): the misses of the next ops overlap the current op's work.
  * Each op's key text is written and hashed once, kSlotAhead ops before
  * it runs, and its home slot prefetched; kEntryAhead ops before, the
- * now-cached slot names the entry to prefetch; kValueAhead ops before
- * a SET, its value buffer, which the pre-image copy and the overwrite
- * touch. The keys live in a ring sized to the lookahead, whatever the
- * batch's length.
+ * now-cached slot names the entry to prefetch; kRecordAhead ops
+ * before, the now-cached entry names the record, which every op's key
+ * compare reads and a SET's pre-image copy and overwrite touch. The
+ * keys live in a ring sized to the lookahead, whatever the batch's
+ * length.
  */
 class KeyPipeline
 {
@@ -96,21 +97,19 @@ class KeyPipeline
             stage(i + kSlotAhead);
         if (i + kEntryAhead < n)
             store_.prefetchEntry(ring_[(i + kEntryAhead) % kSize].key);
-        if (i + kValueAhead < n &&
-            ops_[i + kValueAhead].kind == host::RouterOp::Kind::set) {
-            store_.prefetchValue(ring_[(i + kValueAhead) % kSize].key);
-        }
+        if (i + kRecordAhead < n)
+            store_.prefetchRecord(ring_[(i + kRecordAhead) % kSize].key);
         return ring_[i % kSize].key;
     }
 
   private:
-    static constexpr std::size_t kSlotAhead = 8;
-    static constexpr std::size_t kEntryAhead = 4;
-    static constexpr std::size_t kValueAhead = 2;
+    static constexpr std::size_t kSlotAhead = 12;
+    static constexpr std::size_t kEntryAhead = 8;
+    static constexpr std::size_t kRecordAhead = 4;
     /** Ops i..i+kSlotAhead are live. */
     static constexpr std::size_t kSize = 16;
     static_assert(kSize > kSlotAhead && kSlotAhead > kEntryAhead &&
-                  kEntryAhead > kValueAhead);
+                  kEntryAhead > kRecordAhead);
 
     struct Slot
     {
@@ -141,7 +140,7 @@ class KeyPipeline
 
 /** Router key of a Redis key text (redisKey()'s inverse). */
 std::uint64_t
-redisKeyId(const std::string &key)
+redisKeyId(std::string_view key)
 {
     std::uint64_t id = 0;
     const char *end = key.data() + key.size();
@@ -662,7 +661,7 @@ Cluster::runStep(std::size_t step)
             std::pair<std::uint64_t, std::vector<std::uint8_t>>>>();
         if (sh.redis) {
             sh.redis->forEachSorted(
-                [&](const std::string &key,
+                [&](std::string_view key,
                     std::span<const std::uint8_t> value) {
                     const std::uint64_t id = redisKeyId(key);
                     const std::uint64_t p = map_.point(id);
@@ -890,7 +889,7 @@ Cluster::verifyConsistency() const
         };
         if (sh.redis) {
             sh.redis->forEachUnordered(
-                [&](const std::string &key,
+                [&](std::string_view key,
                     std::span<const std::uint8_t> value) {
                     visit(redisKeyId(key), value);
                 });

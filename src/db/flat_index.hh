@@ -15,6 +15,9 @@
  * Homes come from the hash's top bits, so the hash must mix them:
  * libstdc++'s std::hash<std::uint64_t> is the identity, which would
  * home every small id to slot 0. Integer keys use MixHash64.
+ *
+ * An entry need not hold its key: MiniRedis's entries point at a
+ * record that does, and its KeyOf reads the key from there.
  */
 
 #ifndef BSSD_DB_FLAT_INDEX_HH
@@ -60,13 +63,23 @@ prefetchObject(const T *p)
     __builtin_prefetch(b + sizeof(T) - 1);
 }
 
+/** An entry's key: its member `key`. */
+struct MemberKey
+{
+    template <class Entry>
+    const auto &
+    operator()(const Entry &e) const
+    {
+        return e.key;
+    }
+};
+
 /**
- * The index. @p Entry has a member `key` and is default-constructible;
- * emplace() starts the other members at their defaults. @p Hash maps a
- * key, or anything the lookups are called with, to 64 bits; lookups
- * compare `entry.key == query`.
+ * The index. @p Entry is default-constructible, and @p KeyOf maps one
+ * to its key. @p Hash maps a key, or anything the lookups are called
+ * with, to 64 bits; lookups compare `KeyOf{}(entry) == query`.
  */
-template <class Entry, class Hash>
+template <class Entry, class Hash, class KeyOf = MemberKey>
 class FlatIndex
 {
   public:
@@ -138,18 +151,22 @@ class FlatIndex
         return find(key, Hash{}(key));
     }
 
-    /** The entry of @p key, appended with its other members default
-     *  when absent; second is whether it was. */
+    /** The entry of @p key, appended with its member `key` set and
+     *  its other members default when absent; second is whether it
+     *  was. */
     template <class Q>
     std::pair<Entry *, bool>
     emplace(const Q &key)
     {
-        return emplace(key, Hash{}(key));
+        return emplace(key, Hash{}(key), [&key](Entry &e) { e.key = key; });
     }
 
-    template <class Q>
+    /** The entry of @p key; when absent, a default entry is appended
+     *  and handed to @p init, which must give it @p key as its key.
+     *  second is whether the key was absent. */
+    template <class Q, class Init>
     std::pair<Entry *, bool>
-    emplace(const Q &key, std::uint64_t hash)
+    emplace(const Q &key, std::uint64_t hash, Init &&init)
     {
         if (slots_.empty())
             grow();
@@ -162,7 +179,7 @@ class FlatIndex
         }
         if (entries_.size() == maxKeys)
             sim::panic("flat index: more than ", maxKeys, " keys");
-        entries_.emplace_back().key = key;
+        init(entries_.emplace_back());
         slots_[i] = (hash & ~indexMask) | entries_.size();
         return {&entries_.back(), true};
     }
@@ -191,7 +208,7 @@ class FlatIndex
         const std::size_t last = entries_.size() - 1;
         if (index != last) {
             entries_[index] = std::move(entries_[last]);
-            std::size_t i = Hash{}(entries_[index].key) >> slotShift_;
+            std::size_t i = Hash{}(KeyOf{}(entries_[index])) >> slotShift_;
             while ((slots_[i] & indexMask) != last + 1)
                 i = (i + 1) & mask;
             slots_[i] = (slots_[i] & ~indexMask) | (index + 1);
@@ -206,10 +223,10 @@ class FlatIndex
      *
      * A batch that knows its next keys starts their cache misses a few
      * lookups early: first the slot a key's hash homes on, then, once
-     * that line has landed, the entry the slot's tag points at. A hint
-     * changes nothing and reads only what the lookup reads; one made
-     * stale by the changes in between costs a cache line, not a
-     * result.
+     * that line has landed, the entry the slot's tag points at, then
+     * what the entry points at. A hint changes nothing and reads only
+     * what the lookup reads; one made stale by the changes in between
+     * costs a cache line, not a result.
      * @{ */
 
     /** Start loading the slot a key with hash @p hash homes on. */
@@ -220,23 +237,32 @@ class FlatIndex
             __builtin_prefetch(&slots_[hash >> slotShift_]);
     }
 
-    /** Start loading the entry of the first slot from @p hash's home
-     *  whose tag matches; nothing when the probe meets an empty slot
-     *  first. */
-    void
-    prefetchEntry(std::uint64_t hash) const
+    /** The entry of the first slot from @p hash's home whose tag
+     *  matches, or null when the probe meets an empty slot first: the
+     *  entry a lookup with this hash most likely finds. It compares no
+     *  key, so it reads no more than the slots (and the caller the
+     *  entry), but another key whose tag matches can be what it names. */
+    const Entry *
+    entryHint(std::uint64_t hash) const
     {
         if (slots_.empty())
-            return;
+            return nullptr;
         const std::size_t mask = slots_.size() - 1;
         const std::uint64_t tag = hash & ~indexMask;
         for (std::size_t i = hash >> slotShift_; slots_[i] != 0;
              i = (i + 1) & mask) {
-            if ((slots_[i] & ~indexMask) == tag) {
-                prefetchObject(&entries_[indexAt(i)]);
-                return;
-            }
+            if ((slots_[i] & ~indexMask) == tag)
+                return &entries_[indexAt(i)];
         }
+        return nullptr;
+    }
+
+    /** Start loading entryHint(@p hash), if any. */
+    void
+    prefetchEntry(std::uint64_t hash) const
+    {
+        if (const Entry *e = entryHint(hash))
+            prefetchObject(e);
     }
     /** @} */
 
@@ -269,7 +295,7 @@ class FlatIndex
         for (std::size_t i = hash >> slotShift_;; i = (i + 1) & mask) {
             const std::uint64_t s = slots_[i];
             if (s == 0 || ((s & ~indexMask) == tag &&
-                           entries_[(s & indexMask) - 1].key == key)) {
+                           KeyOf{}(entries_[(s & indexMask) - 1]) == key)) {
                 return i;
             }
         }

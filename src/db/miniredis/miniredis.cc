@@ -1,6 +1,8 @@
 #include "db/miniredis/miniredis.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <limits>
 
@@ -34,7 +36,141 @@ get32(std::span<const std::uint8_t> b, std::size_t &pos)
     return x;
 }
 
+/** Record class sizes step by kGrain bytes up to kLinearBytes. */
+constexpr std::size_t kGrain = 8;
+constexpr std::size_t kLinearBytes = 1024;
+constexpr std::size_t kLinearClasses = kLinearBytes / kGrain;
+
+/** Refs sorted by their full keys: std::string_view order, the same as
+ *  a std::map keyed by the text. */
+template <class Ref, class KeyOf>
+void
+sortByFullKey(Ref *first, Ref *last, KeyOf keyOf)
+{
+    std::sort(first, last, [&](const Ref &a, const Ref &b) {
+        return a.prefix != b.prefix ? a.prefix < b.prefix
+                                    : keyOf(a.rec) < keyOf(b.rec);
+    });
+}
+
+/**
+ * Sort [first, last), whose prefixes agree above byte @p shift, on the
+ * prefix bytes from @p shift down, then on the full keys where all 8
+ * tie: an in-place MSD radix sort (American flag sort, McIlroy, Bostic
+ * and McIlroy, 1993). Each pass counts one byte's values, then cycles
+ * every ref into its bucket by swaps, so it needs no second array. A
+ * range of up to kSmallRange refs goes to the full-key compare.
+ */
+template <class Ref, class KeyOf>
+void
+radixSort(Ref *first, Ref *last, int shift, KeyOf keyOf)
+{
+    constexpr std::ptrdiff_t kSmallRange = 32;
+    for (;;) {
+        if (last - first <= kSmallRange) {
+            sortByFullKey(first, last, keyOf);
+            return;
+        }
+        auto digit = [shift](const Ref &r) {
+            return static_cast<std::size_t>((r.prefix >> shift) & 0xff);
+        };
+        std::array<std::size_t, 256> count{};
+        for (const Ref *p = first; p != last; ++p)
+            ++count[digit(*p)];
+        // Every ref has the same byte here: nothing to move.
+        if (count[digit(*first)] == static_cast<std::size_t>(last - first)) {
+            if (shift == 0) {
+                sortByFullKey(first, last, keyOf);
+                return;
+            }
+            shift -= 8;
+            continue;
+        }
+        std::array<Ref *, 256> next, end;
+        Ref *p = first;
+        for (std::size_t b = 0; b < 256; ++b) {
+            next[b] = p;
+            p += count[b];
+            end[b] = p;
+        }
+        for (std::size_t b = 0; b < 256; ++b) {
+            while (next[b] != end[b]) {
+                Ref r = *next[b];
+                for (std::size_t d = digit(r); d != b; d = digit(r))
+                    std::swap(r, *next[d]++);
+                *next[b]++ = r;
+            }
+        }
+        for (std::size_t b = 0; b < 256; ++b) {
+            if (count[b] < 2)
+                continue;
+            Ref *bucket = end[b] - count[b];
+            if (shift == 0)
+                sortByFullKey(bucket, end[b], keyOf);
+            else
+                radixSort(bucket, end[b], shift - 8, keyOf);
+        }
+        return;
+    }
+}
+
 } // namespace
+
+std::pair<std::size_t, std::size_t>
+MiniRedis::RecordSlab::sizeClass(std::size_t bytes)
+{
+    if (bytes <= kLinearBytes) {
+        const std::size_t index = (bytes - 1) / kGrain;
+        return {index, (index + 1) * kGrain};
+    }
+    // 2^lg < bytes <= 2^(lg + 1), in four steps of 2^(lg - 2).
+    const auto lg = static_cast<std::size_t>(std::bit_width(bytes - 1)) - 1;
+    const std::size_t step = std::size_t(1) << (lg - 2);
+    const std::size_t k = (bytes - (std::size_t(1) << lg) + step - 1) / step;
+    return {kLinearClasses + 4 * (lg - 10) + k - 1,
+            (std::size_t(1) << lg) + k * step};
+}
+
+std::size_t
+MiniRedis::RecordSlab::classBytes(std::size_t bytes)
+{
+    return sizeClass(bytes).second;
+}
+
+std::uint8_t *
+MiniRedis::RecordSlab::take(std::size_t bytes)
+{
+    const auto [index, size] = sizeClass(bytes);
+    if (index < free_.size() && free_[index] != nullptr) {
+        std::uint8_t *rec = free_[index];
+        std::memcpy(&free_[index], rec, sizeof rec);
+        return rec;
+    }
+    carved_ += size;
+    if (size > blockBytes) {
+        blocks_.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(size));
+        return blocks_.back().get();
+    }
+    // A record that does not fit the rest of the block starts a new
+    // one; the rest stays unused.
+    if (static_cast<std::size_t>(end_ - next_) < size) {
+        blocks_.push_back(
+            std::make_unique_for_overwrite<std::uint8_t[]>(blockBytes));
+        next_ = blocks_.back().get();
+        end_ = next_ + blockBytes;
+    }
+    return std::exchange(next_, next_ + size);
+}
+
+void
+MiniRedis::RecordSlab::give(std::uint8_t *rec, std::size_t classBytes)
+{
+    const std::size_t index = sizeClass(classBytes).first;
+    if (index >= free_.size())
+        free_.resize(index + 1, nullptr);
+    std::memcpy(rec, &free_[index], sizeof rec);
+    free_[index] = rec;
+}
 
 void
 MiniRedis::PreImageLog::write(const void *src, std::size_t n)
@@ -71,8 +207,8 @@ MiniRedis::PreImageLog::read(std::size_t pos, void *dst,
 }
 
 void
-MiniRedis::PreImageLog::add(std::string_view key,
-                            const std::vector<std::uint8_t> *value)
+MiniRedis::PreImageLog::add(
+    std::string_view key, std::optional<std::span<const std::uint8_t>> value)
 {
     const std::size_t valueBytes = value ? value->size() : 0;
     const std::uint32_t head[2] = {
@@ -171,22 +307,79 @@ MiniRedis::maybeRewriteAof(sim::Tick now)
     // child-process serialisation runs off the command loop; we charge
     // a fork+bookkeeping cost to the loop itself.
     undo_.clear();
-    ++generation_;
+    nextGeneration();
     snapshotSeq_ = seq_;
     aof_.truncate(now);
     return now + sim::usOf(500);
 }
 
 void
+MiniRedis::nextGeneration()
+{
+    if (generation_ == std::numeric_limits<std::uint32_t>::max())
+        sim::panic("miniredis: rewrite generation ", generation_,
+                   " would wrap");
+    ++generation_;
+}
+
+MiniRedis::Entry
+MiniRedis::newRecord(std::string_view key, std::size_t valueBytes)
+{
+    const std::size_t bytes =
+        RecordSlab::classBytes(recordHeadBytes + key.size() + valueBytes);
+    // The lengths and the capacity are 32-bit, as the AOF's are.
+    if (bytes - recordHeadBytes > std::numeric_limits<std::uint32_t>::max())
+        sim::panic("miniredis: a ", key.size(), "-byte key with a ",
+                   valueBytes, "-byte value does not fit a record");
+    std::uint8_t *rec = slab_.take(bytes);
+    const auto keyBytes = static_cast<std::uint32_t>(key.size());
+    std::memcpy(rec, &keyBytes, sizeof keyBytes);
+    setValueBytesOf(rec, 0);
+    std::copy(key.begin(), key.end(), rec + recordHeadBytes);
+    return {rec, static_cast<std::uint32_t>(bytes - recordHeadBytes - keyBytes),
+            0};
+}
+
+std::pair<MiniRedis::Entry *, bool>
+MiniRedis::emplace(const HashedKey &key, std::size_t valueBytes)
+{
+    return index_.emplace(key.text, key.hash, [&](Entry &fresh) {
+        fresh = newRecord(key.text, valueBytes);
+    });
+}
+
+void
+MiniRedis::assign(Entry &e, std::span<const std::uint8_t> value)
+{
+    if (value.size() > e.capacity) {
+        Entry moved = newRecord(e.key(), value.size());
+        moved.logged = e.logged;
+        slab_.give(e.rec, e.recordBytes());
+        e = moved;
+    }
+    setValueBytesOf(e.rec, static_cast<std::uint32_t>(value.size()));
+    std::copy(value.begin(), value.end(),
+              e.rec + recordHeadBytes + keyBytesOf(e.rec));
+}
+
+void
+MiniRedis::removeAt(std::size_t slot)
+{
+    const Entry e = index_.at(slot);
+    index_.removeAt(slot);
+    slab_.give(e.rec, e.recordBytes());
+}
+
+void
 MiniRedis::put(const HashedKey &key, std::span<const std::uint8_t> value)
 {
-    auto [e, inserted] = index_.emplace(key.text, key.hash);
+    auto [e, inserted] = emplace(key, value.size());
     if (inserted)
-        undo_.add(key.text, nullptr);
+        undo_.add(key.text, std::nullopt);
     else if (e->logged != generation_)
-        undo_.add(key.text, &e->value);
+        undo_.add(key.text, e->value());
     e->logged = generation_;
-    e->value.assign(value.begin(), value.end());
+    assign(*e, value);
 }
 
 void
@@ -195,10 +388,10 @@ MiniRedis::erase(const HashedKey &key)
     const std::size_t slot = index_.slotOf(key.text, key.hash);
     if (slot == index_.noSlot)
         return;
-    Entry &e = index_.at(slot);
+    const Entry &e = index_.at(slot);
     if (e.logged != generation_)
-        undo_.add(key.text, &e.value);
-    index_.removeAt(slot);
+        undo_.add(key.text, e.value());
+    removeAt(slot);
 }
 
 sim::Tick
@@ -230,8 +423,9 @@ MiniRedis::incr(sim::Tick now, const std::string &key,
     const HashedKey k = hashed(key);
     std::int64_t v = 0;
     if (const Entry *e = index_.find(k.text, k.hash)) {
-        const char *first = reinterpret_cast<const char *>(e->value.data());
-        const char *last = first + e->value.size();
+        const std::span<const std::uint8_t> value = e->value();
+        const char *first = reinterpret_cast<const char *>(value.data());
+        const char *last = first + value.size();
         const auto [end, ec] = std::from_chars(first, last, v);
         if (ec != std::errc() || end != last ||
             v == std::numeric_limits<std::int64_t>::max()) {
@@ -239,7 +433,7 @@ MiniRedis::incr(sim::Tick now, const std::string &key,
             // is parsed and answered, nothing is written or logged.
             if (result)
                 result->reset();
-            return cpu(now, key.size() + e->value.size());
+            return cpu(now, key.size() + value.size());
         }
     }
     ++v;
@@ -263,10 +457,14 @@ MiniRedis::get(sim::Tick now, const HashedKey &key,
     std::size_t bytes = key.text.size();
     const Entry *e = index_.find(key.text, key.hash);
     if (e)
-        bytes += e->value.size();
+        bytes += valueBytesOf(e->rec);
     if (out) {
-        *out = e ? std::optional<std::vector<std::uint8_t>>(e->value)
-                 : std::nullopt;
+        if (e) {
+            const std::span<const std::uint8_t> value = e->value();
+            out->emplace(value.begin(), value.end());
+        } else {
+            out->reset();
+        }
     }
     return cpu(now, bytes);
 }
@@ -302,17 +500,19 @@ MiniRedis::recover()
     // pre-image. The replay below logs its own changes afresh under a
     // new generation, so a second recovery rolls those back too.
     undo_.forEachNewestFirst(
-        [this](const std::string &key,
+        [this](const std::string &text,
                const std::vector<std::uint8_t> *value) {
+            const HashedKey key = hashed(text);
             if (value) {
-                index_.emplace(key).first->value = *value;
-            } else if (const std::size_t slot = index_.slotOf(key);
+                assign(*emplace(key, value->size()).first, *value);
+            } else if (const std::size_t slot =
+                           index_.slotOf(key.text, key.hash);
                        slot != index_.noSlot) {
-                index_.removeAt(slot);
+                removeAt(slot);
             }
         });
     undo_.clear();
-    ++generation_;
+    nextGeneration();
     seq_ = snapshotSeq_;
     const std::vector<std::uint8_t> aof = aof_.recoverContents();
     auto recs = wal::parseLogStream(aof, aof_.recoveryChunkBytes(),
@@ -324,86 +524,96 @@ MiniRedis::recover()
     aof_.resume(std::span(aof).first(recs.empty() ? 0 : recs.back().end));
 }
 
+template <class Fn>
+void
+MiniRedis::visitSorted(Fn &&fn) const
+{
+    // The sorted walk visits records in no memory order: start each
+    // record's first line kHeadAhead references early and, kTailAhead
+    // early, its last line, which the landed head's lengths locate.
+    constexpr std::size_t kHeadAhead = 16;
+    constexpr std::size_t kTailAhead = 8;
+    const std::vector<Ref> sorted = sortedRefs();
+    const std::size_t n = sorted.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i + kHeadAhead < n)
+            __builtin_prefetch(sorted[i + kHeadAhead].rec);
+        if (i + kTailAhead < n) {
+            const std::uint8_t *rec = sorted[i + kTailAhead].rec;
+            __builtin_prefetch(rec + recordHeadBytes + keyBytesOf(rec) +
+                               valueBytesOf(rec) - 1);
+        }
+        fn(sorted[i].rec);
+    }
+}
+
 std::uint64_t
 MiniRedis::contentHash() const
 {
     std::uint64_t h = 14695981039346656037ull; // FNV-1a offset basis
-    auto mix = [&h](const std::uint8_t *p, std::size_t n) {
+    // A record's key and value bytes are adjacent: one pass mixes the
+    // key's bytes, then the value's.
+    visitSorted([&h](const std::uint8_t *rec) {
+        const std::uint8_t *p = rec + recordHeadBytes;
+        const std::size_t n = keyBytesOf(rec) + valueBytesOf(rec);
         for (std::size_t i = 0; i < n; ++i) {
             h ^= p[i];
             h *= 1099511628211ull; // FNV-1a prime
         }
-    };
-    // The sorted walk visits entries in no memory order: start each
-    // entry's miss kEntryAhead references early and its value's
-    // kValueAhead early, by when the entry holding the value's address
-    // has landed.
-    constexpr std::size_t kEntryAhead = 16;
-    constexpr std::size_t kValueAhead = 8;
-    const std::vector<Ref> sorted = sortedRefs();
-    const std::size_t n = sorted.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i + kEntryAhead < n)
-            prefetchObject(sorted[i + kEntryAhead].e);
-        if (i + kValueAhead < n)
-            __builtin_prefetch(sorted[i + kValueAhead].e->value.data());
-        const Entry &e = *sorted[i].e;
-        mix(reinterpret_cast<const std::uint8_t *>(e.key.data()),
-            e.key.size());
-        mix(e.value.data(), e.value.size());
-    }
+    });
     return h;
 }
 
 void
 MiniRedis::forEachSorted(
-    const std::function<void(const std::string &,
+    const std::function<void(std::string_view,
                              std::span<const std::uint8_t>)> &fn) const
 {
-    for (const Ref &r : sortedRefs())
-        fn(r.e->key, r.e->value);
+    visitSorted([&fn](const std::uint8_t *rec) {
+        fn(keyOf(rec), valueOf(rec));
+    });
 }
 
 std::vector<MiniRedis::Ref>
 MiniRedis::sortedRefs() const
 {
-    // Sort references to the entries, not the entries: the key's first
+    // Sort references to the records, not the records: the key's first
     // eight bytes, big-endian and zero-padded, order two keys exactly
     // as a byte-wise compare does unless they tie, and only ties fall
-    // back to comparing the full keys (std::string_view order, the
-    // same as a std::map keyed by the text).
+    // back to comparing the full keys.
+    constexpr std::size_t kAhead = 8;
+    const std::vector<Entry> &entries = index_.entries();
     std::vector<Ref> sorted;
-    sorted.reserve(index_.size());
-    for (const Entry &e : index_.entries()) {
+    sorted.reserve(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (i + kAhead < entries.size())
+            __builtin_prefetch(entries[i + kAhead].rec);
+        const std::string_view key = entries[i].key();
         std::uint64_t prefix = 0;
-        for (std::size_t i = 0; i < 8; ++i) {
+        for (std::size_t b = 0; b < 8; ++b) {
             prefix <<= 8;
-            if (i < e.key.size())
-                prefix |= static_cast<std::uint8_t>(e.key[i]);
+            if (b < key.size())
+                prefix |= static_cast<std::uint8_t>(key[b]);
         }
-        sorted.push_back({prefix, &e});
+        sorted.push_back({prefix, entries[i].rec});
     }
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Ref &a, const Ref &b) {
-                  return a.prefix != b.prefix ? a.prefix < b.prefix
-                                              : a.e->key < b.e->key;
-              });
+    radixSort(sorted.data(), sorted.data() + sorted.size(), 56, keyOf);
     return sorted;
 }
 
 void
 MiniRedis::forEachUnordered(
-    const std::function<void(const std::string &,
+    const std::function<void(std::string_view,
                              std::span<const std::uint8_t>)> &fn) const
 {
-    // The entries stream in order; their values sit wherever the heap
-    // put them, so start each value's miss a few entries early.
-    constexpr std::size_t kValueAhead = 8;
+    // The entries stream in order; their records sit wherever they
+    // were carved, so start each record's miss a few entries early.
+    constexpr std::size_t kAhead = 8;
     const std::vector<Entry> &entries = index_.entries();
     for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (i + kValueAhead < entries.size())
-            __builtin_prefetch(entries[i + kValueAhead].value.data());
-        fn(entries[i].key, entries[i].value);
+        if (i + kAhead < entries.size())
+            prefetchRecordOf(entries[i + kAhead]);
+        fn(entries[i].key(), entries[i].value());
     }
 }
 

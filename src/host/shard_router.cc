@@ -159,7 +159,9 @@ ShardRouter::releaseHeld()
         }
         buckets_[routeOf(op)].push_back(op);
     }
-    held_.clear();
+    // Give the storage back: a hold can park hundreds of thousands of
+    // ops, and the run may hold nothing again.
+    std::vector<RouterOp>().swap(held_);
     flushBuckets();
 }
 

@@ -169,8 +169,10 @@ lookups(const Index &index, std::uint64_t keySpace)
     return out;
 }
 
-/** Call both hints for every key in [0, keySpace), present or not,
- *  and check they changed nothing a caller can see. */
+/** Call every hint for every key in [0, keySpace), present or not,
+ *  and check they changed nothing a caller can see. Every key's tag
+ *  is its own, so entryHint() must name the entry find() finds, or
+ *  none. */
 template <class Index, class Hash>
 void
 expectHintsChangeNothing(const Index &index, std::uint64_t keySpace)
@@ -181,6 +183,7 @@ expectHintsChangeNothing(const Index &index, std::uint64_t keySpace)
     for (std::uint64_t k = 0; k < keySpace; ++k) {
         index.prefetchSlot(Hash{}(k));
         index.prefetchEntry(Hash{}(k));
+        EXPECT_EQ(index.entryHint(Hash{}(k)), index.find(k)) << "key " << k;
     }
     EXPECT_EQ(index.size(), size);
     EXPECT_EQ(index.slotCount(), slots);

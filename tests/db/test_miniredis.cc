@@ -291,7 +291,7 @@ TEST(MiniRedis, SortedVisitFollowsStringViewOrder)
     for (const auto &[key, value] : want)
         order.emplace(key, &value);
     auto next = order.begin();
-    r.forEachSorted([&](const std::string &key,
+    r.forEachSorted([&](std::string_view key,
                         std::span<const std::uint8_t> value) {
         ASSERT_NE(next, order.end());
         EXPECT_EQ(key, next->first);
@@ -301,7 +301,7 @@ TEST(MiniRedis, SortedVisitFollowsStringViewOrder)
     EXPECT_EQ(next, order.end());
 
     Dataset seen;
-    r.forEachUnordered([&](const std::string &key,
+    r.forEachUnordered([&](std::string_view key,
                            std::span<const std::uint8_t> value) {
         EXPECT_TRUE(seen.emplace(key, std::vector<std::uint8_t>(
                                           value.begin(), value.end()))
@@ -309,6 +309,152 @@ TEST(MiniRedis, SortedVisitFollowsStringViewOrder)
             << "visited twice: " << key;
     });
     EXPECT_EQ(seen, want);
+}
+
+namespace
+{
+
+/** FNV-1a over each key's bytes, then its value's, in map order: the
+ *  digest contentHash() must compute. */
+std::uint64_t
+fnvFold(const Dataset &data)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    auto mix = [&h](std::uint8_t b) {
+        h ^= b;
+        h *= 1099511628211ull;
+    };
+    for (const auto &[key, value] : data) {
+        for (const char c : key)
+            mix(static_cast<std::uint8_t>(c));
+        for (const std::uint8_t b : value)
+            mix(b);
+    }
+    return h;
+}
+
+/** forEachSorted() visits exactly @p want, in its order, and
+ *  contentHash() is the FNV-1a fold over it. */
+void
+expectSortedVisit(const MiniRedis &r, const Dataset &want)
+{
+    auto next = want.begin();
+    std::size_t visited = 0;
+    r.forEachSorted([&](std::string_view key,
+                        std::span<const std::uint8_t> value) {
+        ++visited;
+        if (next == want.end())
+            return;
+        EXPECT_EQ(key, next->first);
+        EXPECT_TRUE(std::ranges::equal(value, next->second)) << key;
+        ++next;
+    });
+    EXPECT_EQ(visited, want.size());
+    EXPECT_EQ(r.contentHash(), fnvFold(want));
+}
+
+} // namespace
+
+TEST(MiniRedis, SortedVisitAtScaleMatchesMapModel)
+{
+    // Enough keys that the digest's radix sort runs several passes
+    // before ranges fall to the full-key compare: random keys of 0..12
+    // bytes over an alphabet with NUL and bytes >= 0x80 (so short keys
+    // tie with their NUL-padded prefixes), the empty key, and two
+    // families that tie on all 8 prefix bytes: up to 259 keys behind
+    // one 8-byte prefix (a range whose every byte agrees), and up to
+    // 258 behind one 7-byte prefix, split by their 8th byte into six
+    // tied buckets. SETs grow and shrink values, so keys move between
+    // records; DELs hand records back; the AOF region is small enough
+    // to rewrite several times, and a crash rolls the undo log back.
+    ssd::SsdDevice dev(ssd::SsdConfig::tiny());
+    wal::BlockWal aof(dev, tinyAof());
+    MiniRedis r(aof);
+    Dataset model;
+    std::vector<std::string> keys;
+    sim::Rng rng(25);
+    sim::Tick t = 0;
+    const char alphabet[] = {'\0', 'a', 'k', '\x7f', '\x80', '\xff'};
+    auto letters = [&](std::size_t n) {
+        std::string s(n, '\0');
+        for (char &c : s)
+            c = alphabet[rng.nextBelow(sizeof(alphabet))];
+        return s;
+    };
+    auto set = [&](const std::string &key) {
+        std::vector<std::uint8_t> value(rng.nextBelow(121));
+        for (auto &b : value)
+            b = static_cast<std::uint8_t>(rng.next());
+        t = r.set(t, key, value);
+        model[key] = value;
+        keys.push_back(key);
+    };
+    using namespace std::string_literals;
+    set(""s);
+    for (int i = 1; i <= 28000; ++i) {
+        const double roll = rng.nextDouble();
+        if (roll < 0.65) {
+            set(letters(rng.nextBelow(13)));
+        } else if (roll < 0.7) {
+            set("\xffshared\0"s + letters(rng.nextBelow(4)));
+        } else if (roll < 0.75) {
+            set("\x80" "common"s + letters(1) + letters(rng.nextBelow(3)));
+        } else if (roll < 0.85) {
+            const std::string &key = keys[rng.nextBelow(keys.size())];
+            t = r.del(t, key);
+            model.erase(key);
+        } else {
+            set(std::string(keys[rng.nextBelow(keys.size())]));
+        }
+        if (i % 7000 == 0) {
+            expectSortedVisit(r, model);
+            if (HasFailure())
+                return;
+        }
+    }
+    EXPECT_GT(model.size(), 10000u);
+    EXPECT_GT(r.aofRewrites(), 1u);
+
+    aof.crash(t);
+    r.recover();
+    ASSERT_EQ(r.keys(), model.size());
+    expectSortedVisit(r, model);
+}
+
+TEST(MiniRedis, OverwritesAndReinsertsReuseRecords)
+{
+    // A store carves its records from its own blocks, and none at
+    // construction. A SET whose value fits keeps the key's record, and
+    // a DEL hands the record to the next key of its size; a value that
+    // outgrows its record moves the key to a larger one and leaves the
+    // old one to the next.
+    ssd::SsdDevice dev(ssd::SsdConfig::tiny());
+    wal::BlockWal aof(dev, tinyAof());
+    MiniRedis r(aof);
+    EXPECT_EQ(r.reservedBytes(), 0u);
+    sim::Tick t = r.set(0, "key1", val(std::string(40, 'a')));
+    const std::size_t one = r.reservedBytes();
+    EXPECT_GE(one, 4u + 40u);
+    t = r.set(t, "key1", val(std::string(20, 'b')));
+    t = r.set(t, "key1", val(std::string(40, 'c')));
+    EXPECT_EQ(r.reservedBytes(), one);
+    t = r.del(t, "key1");
+    t = r.set(t, "key2", val(std::string(40, 'd')));
+    EXPECT_EQ(r.reservedBytes(), one);
+
+    t = r.set(t, "key2", val(std::string(400, 'e')));
+    const std::size_t grown = r.reservedBytes();
+    EXPECT_GT(grown, one);
+    t = r.set(t, "key3", val(std::string(40, 'f')));
+    EXPECT_EQ(r.reservedBytes(), grown);
+
+    std::optional<std::vector<std::uint8_t>> out;
+    r.get(t, "key1", &out);
+    EXPECT_FALSE(out.has_value());
+    r.get(t, "key2", &out);
+    EXPECT_EQ(out, val(std::string(400, 'e')));
+    r.get(t, "key3", &out);
+    EXPECT_EQ(out, val(std::string(40, 'f')));
 }
 
 TEST(MiniRedis, FlatIndexMatchesMapModel)
@@ -335,9 +481,9 @@ TEST(MiniRedis, FlatIndexMatchesMapModel)
 
     auto keysInEntryOrder = [](const MiniRedis &r) {
         std::vector<std::string> keys;
-        r.forEachUnordered([&](const std::string &key,
+        r.forEachUnordered([&](std::string_view key,
                                std::span<const std::uint8_t>) {
-            keys.push_back(key);
+            keys.emplace_back(key);
         });
         return keys;
     };
@@ -390,7 +536,7 @@ TEST(MiniRedis, FlatIndexMatchesMapModel)
         }
         ASSERT_EQ(a.contentHash(), hashOf(model)) << "command " << i;
         Dataset seen;
-        a.forEachUnordered([&](const std::string &visited,
+        a.forEachUnordered([&](std::string_view visited,
                                std::span<const std::uint8_t> value) {
             EXPECT_TRUE(seen.emplace(visited, std::vector<std::uint8_t>(
                                                   value.begin(),
